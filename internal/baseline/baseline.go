@@ -55,7 +55,8 @@ func HillClimb(space *capes.ActionSpace, probe Prober, maxProbes int) Result {
 				if probes >= maxProbes {
 					break
 				}
-				cand := space.Apply(action, cur)
+				cand := make([]float64, len(cur))
+				space.ApplyInto(cand, cur, action)
 				if same(cand, cur) {
 					continue // clamped at a range edge
 				}
@@ -66,7 +67,8 @@ func HillClimb(space *capes.ActionSpace, probe Prober, maxProbes int) Result {
 					improved = true
 					// Keep pushing in the winning direction.
 					for probes < maxProbes {
-						next := space.Apply(action, cur)
+						next := make([]float64, len(cur))
+						space.ApplyInto(next, cur, action)
 						if same(next, cur) {
 							break
 						}

@@ -129,38 +129,43 @@ func TestActionSpace(t *testing.T) {
 	if cur[0] != 50 || cur[1] != 0.5 {
 		t.Fatalf("Defaults = %v", cur)
 	}
+	apply := func(action int, current []float64) []float64 {
+		next := make([]float64, len(current))
+		s.ApplyInto(next, current, action)
+		return next
+	}
 	// NULL leaves values unchanged.
-	if got := s.Apply(NullAction, cur); got[0] != 50 || got[1] != 0.5 {
+	if got := apply(NullAction, cur); got[0] != 50 || got[1] != 0.5 {
 		t.Fatalf("NULL changed values: %v", got)
 	}
 	// Action ids: 1=a−, 2=a+, 3=b−, 4=b+.
-	if got := s.Apply(s.DecreaseAction(0), cur); got[0] != 40 {
+	if got := apply(s.DecreaseAction(0), cur); got[0] != 40 {
 		t.Fatalf("a− = %v", got)
 	}
-	if got := s.Apply(s.IncreaseAction(0), cur); got[0] != 60 {
+	if got := apply(s.IncreaseAction(0), cur); got[0] != 60 {
 		t.Fatalf("a+ = %v", got)
 	}
-	if got := s.Apply(s.DecreaseAction(1), cur); math.Abs(got[1]-0.4) > 1e-12 {
+	if got := apply(s.DecreaseAction(1), cur); math.Abs(got[1]-0.4) > 1e-12 {
 		t.Fatalf("b− = %v", got)
 	}
-	if got := s.Apply(s.IncreaseAction(1), cur); math.Abs(got[1]-0.6) > 1e-12 {
+	if got := apply(s.IncreaseAction(1), cur); math.Abs(got[1]-0.6) > 1e-12 {
 		t.Fatalf("b+ = %v", got)
 	}
-	// Apply must not mutate the input.
+	// ApplyInto must not mutate current when dst is another slice.
 	if cur[0] != 50 {
-		t.Fatal("Apply mutated current")
+		t.Fatal("ApplyInto mutated current")
 	}
 	// Clamping at range edges.
 	edge := []float64{100, 1}
-	if got := s.Apply(s.IncreaseAction(0), edge); got[0] != 100 {
+	if got := apply(s.IncreaseAction(0), edge); got[0] != 100 {
 		t.Fatalf("clamp high = %v", got)
 	}
 	edge = []float64{0, 0}
-	if got := s.Apply(s.DecreaseAction(0), edge); got[0] != 0 {
+	if got := apply(s.DecreaseAction(0), edge); got[0] != 0 {
 		t.Fatalf("clamp low = %v", got)
 	}
 	// Out-of-range action ids behave as NULL.
-	if got := s.Apply(99, cur); got[0] != 50 {
+	if got := apply(99, cur); got[0] != 50 {
 		t.Fatalf("invalid action = %v", got)
 	}
 	// Descriptions.
@@ -283,7 +288,7 @@ func TestCheckers(t *testing.T) {
 	}
 }
 
-// Property: for any action sequence, Apply keeps every value on the
+// Property: for any action sequence, ApplyInto keeps every value on the
 // step grid within [Min, Max].
 func TestActionSpaceApplyInvariant(t *testing.T) {
 	s, err := NewActionSpace(
@@ -297,7 +302,7 @@ func TestActionSpaceApplyInvariant(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		cur := s.Defaults()
 		for i := 0; i < 200; i++ {
-			cur = s.Apply(rng.Intn(s.NumActions()), cur)
+			s.ApplyInto(cur, cur, rng.Intn(s.NumActions())) // dst may alias current
 			for j, tn := range s.Tunables {
 				// Range containment is the hard invariant; the step grid
 				// is not preserved across range-edge clamps by design

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"capes/internal/nn"
-	"capes/internal/replay"
 	"capes/internal/rl"
 	"capes/internal/wire"
 )
@@ -144,14 +143,18 @@ type ClusterStats struct {
 // Leader transport
 // ---------------------------------------------------------------------
 
-// clusterLeader accepts follower connections, serves welcome syncs from
-// a published parameter snapshot (so the accept path never touches the
-// engine lock), collects per-step gradient frames and fans broadcasts
-// back out. The engine's train tick calls collect/broadcast with e.mu
-// held; reader and accept goroutines only take l.mu.
+// clusterLeader is the cluster leader's trainer. It accepts follower
+// connections, serves welcome syncs from a published parameter snapshot
+// (so the accept path never touches the engine lock), collects per-step
+// gradient frames and fans broadcasts back out. The trainer methods run
+// with e.mu held; reader and accept goroutines only take l.mu.
 type clusterLeader struct {
+	lockstep
 	cfg ClusterConfig
 	ln  net.Listener
+
+	// acc is the float64 reduction accumulator (engine-owned, e.mu).
+	acc []float64
 
 	mu     sync.Mutex
 	notify chan struct{} // cap 1: frame arrivals and peer changes
@@ -176,28 +179,30 @@ type leaderPeer struct {
 	rank   int
 	epoch  uint64
 	conn   net.Conn
-	wmu    sync.Mutex // serializes writes (broadcast vs. future uses)
+	wmu    sync.Mutex // serializes the welcome and broadcast writes
 	misses int        // consecutive collect rounds without a frame
 }
 
-// newClusterLeader binds the listen socket, publishes the initial
-// parameter snapshot and starts the accept loop.
-func newClusterLeader(cfg ClusterConfig, params, target []EnginePrecision, step int64) (*clusterLeader, error) {
+// newClusterLeader binds the listen socket, publishes the engine's
+// initial parameter snapshot and starts the accept loop.
+func newClusterLeader(e *Engine, cfg ClusterConfig) (*clusterLeader, error) {
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
 		return nil, fmt.Errorf("capes: cluster listen: %w", err)
 	}
 	l := &clusterLeader{
-		cfg:    cfg,
-		ln:     ln,
-		notify: make(chan struct{}, 1),
-		peers:  make(map[int]*leaderPeer),
-		frames: make(map[int]*wire.GradFrame),
+		lockstep: lockstep{e},
+		cfg:      cfg,
+		ln:       ln,
+		acc:      make([]float64, len(e.agent.Online.FlatGrads())),
+		notify:   make(chan struct{}, 1),
+		peers:    make(map[int]*leaderPeer),
+		frames:   make(map[int]*wire.GradFrame),
 	}
 	l.stats.Role = ClusterLeader
-	l.snapStep = step
-	l.snapParams = nn.ExportFlat(nil, params)
-	l.snapTarget = nn.ExportFlat(nil, target)
+	l.snapStep = e.agent.Steps()
+	l.snapParams = nn.ExportFlat(nil, e.agent.Online.FlatParams())
+	l.snapTarget = nn.ExportFlat(nil, e.agent.Target.FlatParams())
 	l.wg.Add(1)
 	go l.acceptLoop()
 	return l, nil
@@ -269,35 +274,28 @@ func (l *clusterLeader) handshake(conn net.Conn) {
 		Params: l.snapParams,
 		Target: l.snapTarget,
 	}})
-	l.mu.Unlock()
 	if encErr != nil {
-		conn.Close()
-		return
-	}
-	if _, err := conn.Write(buf); err != nil {
-		conn.Close()
-		return
-	}
-	_ = conn.SetDeadline(time.Time{})
-	p := &leaderPeer{rank: h.NodeID, epoch: h.Epoch, conn: conn}
-	l.mu.Lock()
-	if l.closed {
 		l.mu.Unlock()
 		conn.Close()
 		return
 	}
-	if cur := l.peers[h.NodeID]; cur != nil {
-		// A concurrent handshake for the same rank landed while the
-		// welcome sync was in flight; the higher epoch wins.
-		if cur.epoch >= h.Epoch {
-			l.mu.Unlock()
-			conn.Close()
-			return
-		}
-		cur.conn.Close()
-		l.stats.Evictions++
-	}
+	// Register in the same critical section, holding the peer's write
+	// lock until the welcome is out: the next broadcast queues behind
+	// it, and a follower that has read its welcome must already count
+	// in the next collect — a round that collected and broadcast past
+	// it would leave it training on stale parameters.
+	p := &leaderPeer{rank: h.NodeID, epoch: h.Epoch, conn: conn}
+	p.wmu.Lock()
 	l.peers[h.NodeID] = p
+	l.mu.Unlock()
+	_, err = conn.Write(buf)
+	_ = conn.SetDeadline(time.Time{})
+	p.wmu.Unlock()
+	if err != nil {
+		l.dropPeer(p)
+		return
+	}
+	l.mu.Lock()
 	l.stats.Syncs++
 	l.mu.Unlock()
 	l.wakeup()
@@ -465,16 +463,17 @@ func (l *clusterLeader) broadcast(step int64, loss float64, params, target []Eng
 	}
 }
 
-// resync republishes the snapshot (after a checkpoint restore rewound
+// realign republishes the snapshot (after a checkpoint restore rewound
 // the model) and drops every follower: each rejoins with a bumped epoch
 // and is welcome-synced from the restored parameters, so no follower
 // can keep training against the pre-restore trajectory.
-func (l *clusterLeader) resync(step int64, loss float64, params, target []EnginePrecision) {
+func (l *clusterLeader) realign() {
+	a := l.e.agent
 	l.mu.Lock()
-	l.snapStep = step
-	l.snapLoss = loss
-	l.snapParams = nn.ExportFlat(l.snapParams, params)
-	l.snapTarget = nn.ExportFlat(l.snapTarget, target)
+	l.snapStep = a.Steps()
+	l.snapLoss = a.SmoothedLoss()
+	l.snapParams = nn.ExportFlat(l.snapParams, a.Online.FlatParams())
+	l.snapTarget = nn.ExportFlat(l.snapTarget, a.Target.FlatParams())
 	dropped := make([]*leaderPeer, 0, len(l.peers))
 	for _, p := range l.peers {
 		dropped = append(dropped, p)
@@ -510,13 +509,13 @@ func (l *clusterLeader) close() {
 	l.wg.Wait()
 }
 
-// statsSnapshot copies the counters under l.mu.
-func (l *clusterLeader) statsSnapshot() ClusterStats {
+// fillStats copies the counters under l.mu.
+func (l *clusterLeader) fillStats(s *Stats) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	s := l.stats
-	s.Followers = len(l.peers)
-	return s
+	cs := l.stats
+	cs.Followers = len(l.peers)
+	s.Cluster = &cs
 }
 
 // ---------------------------------------------------------------------
@@ -527,10 +526,12 @@ func (l *clusterLeader) statsSnapshot() ClusterStats {
 // its redial backoff window.
 var errClusterBackoff = errors.New("capes: cluster dial backing off")
 
-// clusterFollower is the follower side: a single synchronous connection
-// driven entirely from inside the engine's train tick (no goroutines),
-// so every field is protected by the engine lock.
+// clusterFollower is the cluster follower's trainer: a single
+// synchronous connection driven entirely from inside the engine's train
+// tick (no goroutines), so every field is protected by the engine lock.
 type clusterFollower struct {
+	lockstep
+	wire     []float32 // gradient export scratch
 	cfg      ClusterConfig
 	conn     net.Conn
 	epoch    uint64
@@ -539,8 +540,8 @@ type clusterFollower struct {
 	stats    ClusterStats
 }
 
-func newClusterFollower(cfg ClusterConfig) *clusterFollower {
-	f := &clusterFollower{cfg: cfg}
+func newClusterFollower(e *Engine, cfg ClusterConfig) *clusterFollower {
+	f := &clusterFollower{lockstep: lockstep{e}, cfg: cfg}
 	f.stats.Role = ClusterFollower
 	f.stats.Rank = cfg.Rank
 	return f
@@ -553,6 +554,20 @@ func (f *clusterFollower) drop() {
 		f.conn = nil
 	}
 	f.synced = false
+}
+
+// realign drops the connection after a checkpoint restore; the next
+// train tick resyncs from the leader.
+func (f *clusterFollower) realign() { f.drop() }
+
+// close drops the connection at engine Stop.
+func (f *clusterFollower) close() { f.drop() }
+
+func (f *clusterFollower) fillStats(s *Stats) {
+	cs := f.stats
+	cs.Epoch = f.epoch
+	cs.Synced = f.conn != nil && f.synced
+	s.Cluster = &cs
 }
 
 // ensureSynced dials the leader if needed (respecting the tick-based
@@ -662,19 +677,12 @@ func (f *clusterFollower) awaitBroadcast(a *rl.Agent[EnginePrecision]) error {
 // Engine integration
 // ---------------------------------------------------------------------
 
-// startClusterLocked builds the role transport during NewEngine.
-func (e *Engine) startCluster(cc ClusterConfig) error {
-	switch cc.Role {
-	case ClusterLeader:
-		l, err := newClusterLeader(cc, e.agent.Online.FlatParams(), e.agent.Target.FlatParams(), e.agent.Steps())
-		if err != nil {
-			return err
-		}
-		e.cluL = l
-	case ClusterFollower:
-		e.cluF = newClusterFollower(cc)
+// newClusterTrainer builds the role's trainer during NewEngine.
+func newClusterTrainer(e *Engine, cc ClusterConfig) (trainer, error) {
+	if cc.Role == ClusterLeader {
+		return newClusterLeader(e, cc)
 	}
-	return nil
+	return newClusterFollower(e, cc), nil
 }
 
 // ClusterAddr returns the leader's bound listen address ("" on
@@ -682,8 +690,8 @@ func (e *Engine) startCluster(cc ClusterConfig) error {
 func (e *Engine) ClusterAddr() string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.cluL != nil {
-		return e.cluL.addr()
+	if l, ok := e.tr.(*clusterLeader); ok {
+		return l.addr()
 	}
 	return ""
 }
@@ -696,85 +704,42 @@ func (e *Engine) ClusterAddr() string {
 func (e *Engine) ClusterSync() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.cluF == nil {
+	f, ok := e.tr.(*clusterFollower)
+	if !ok {
 		return nil
 	}
-	return e.cluF.ensureSynced(e.agent, 0, true)
+	return f.ensureSynced(e.agent, 0, true)
 }
 
-// closeClusterLocked tears the cluster transport down (engine Stop and
-// teardown paths; e.mu held).
-func (e *Engine) closeClusterLocked() {
-	if e.cluL != nil {
-		e.cluL.close()
-	}
-	if e.cluF != nil {
-		e.cluF.drop()
-	}
-}
+// errGradWidth rejects a follower frame shaped for another network.
+var errGradWidth = errors.New("capes: cluster gradient frame width mismatch")
 
-// resyncClusterLocked realigns the cluster after a checkpoint restore
-// rewound the agent (e.mu held): the leader republishes its snapshot
-// and evicts every follower (each rejoins against the restored
-// parameters with a bumped epoch); a follower drops its connection and
-// resyncs from the leader on its next train tick.
-func (e *Engine) resyncClusterLocked() {
-	if e.cluL != nil {
-		e.cluL.resync(e.agent.Steps(), e.agent.SmoothedLoss(), e.agent.Online.FlatParams(), e.agent.Target.FlatParams())
-	}
-	if e.cluF != nil {
-		e.cluF.drop()
-	}
-}
-
-// clusterLeaderTick is the leader's train tick: compute the local
-// gradient (rank 0), collect follower frames for this step, reduce in
-// rank order, apply, broadcast. The engine lock is held throughout —
-// collect can block up to CollectTimeout, which is the price of a
-// strictly synchronous (and therefore deterministic) update schedule.
-func (e *Engine) clusterLeaderTick(now int64) {
-	h := &e.cfg.Hyper
-	step := e.agent.Steps() + 1
-	localN := 0
-	localLoss := 0.0
-	if err := replay.ConstructMinibatchInto(e.db, e.rng, h.MinibatchSize, e.rewardFn, &e.batch); err == nil {
-		if e.faults != nil && e.faults.takePoison(step) {
-			e.poisonParamsLocked()
+// step is the leader's train tick: compute the local gradient (rank 0),
+// collect follower frames for this step, reduce in rank order, apply,
+// broadcast. The engine lock is held throughout — collect can block up
+// to CollectTimeout, which is the price of a strictly synchronous (and
+// therefore deterministic) update schedule.
+func (l *clusterLeader) step(now int64) {
+	e := l.e
+	clear(l.acc)
+	workers, lossSum := 0, 0.0
+	if e.drawBatchLocked() {
+		if loss, err := e.agent.ComputeGradients(&e.batch); !e.trainFaultLocked(err, now) {
+			nn.AccumulateFlat(l.acc, e.agent.Online.FlatGrads())
+			workers, lossSum = 1, loss
 		}
-		if loss, err := e.agent.ComputeGradients(&e.batch); err != nil {
-			e.trainErrors++
-			e.noteTrainFaultLocked(err, now)
-		} else {
-			localN = e.batch.N
-			localLoss = loss
-		}
-	}
-	frames := e.cluL.collect(step)
-
-	if e.cluAcc == nil {
-		e.cluAcc = make([]float64, len(e.agent.Online.FlatGrads()))
-	}
-	for i := range e.cluAcc {
-		e.cluAcc[i] = 0
-	}
-	workers := 0
-	lossSum := 0.0
-	if localN > 0 {
-		nn.AccumulateFlat(e.cluAcc, e.agent.Online.FlatGrads())
-		workers++
-		lossSum += localLoss
 	}
 	accepted, pass := 0, 0
-	for _, fr := range frames {
+	for _, fr := range l.collect(e.agent.Steps() + 1) {
 		if fr.BatchN == 0 || len(fr.Grads) == 0 {
 			pass++
 			continue
 		}
-		if len(fr.Grads) != len(e.cluAcc) {
-			e.trainErrors++
+		if len(fr.Grads) != len(l.acc) {
+			e.trainFaultLocked(errGradWidth, now)
 			continue
 		}
-		nn.AccumulateFlat(e.cluAcc, fr.Grads)
+		nn.AccumulateFlat(l.acc, fr.Grads)
 		workers++
 		accepted++
 		lossSum += fr.Loss
@@ -782,26 +747,21 @@ func (e *Engine) clusterLeaderTick(now int64) {
 
 	meanLoss := 0.0
 	if workers > 0 {
-		nn.MeanInto(e.agent.Online.FlatGrads(), e.cluAcc, workers)
+		nn.MeanInto(e.agent.Online.FlatGrads(), l.acc, workers)
 		meanLoss = lossSum / float64(workers)
-		if err := e.agent.ApplyGradients(meanLoss); err != nil {
-			e.trainErrors++
-			e.noteTrainFaultLocked(err, now)
-		} else if e.agent.Steps()%25 == 0 {
-			e.lossTrace = append(e.lossTrace, LossPoint{Tick: now, Loss: e.agent.SmoothedLoss()})
-		}
+		e.stepDoneLocked(e.agent.ApplyGradients(meanLoss), now)
 	}
-	e.cluL.noteStep(accepted, pass, workers)
+	l.noteStep(accepted, pass, workers)
 	// Broadcast even when no step was applied: followers block on the
 	// round's broadcast, and an idle round's parameters are unchanged
 	// bits (ApplyParamBroadcast treats same-step broadcasts as no-ops).
-	e.cluL.broadcast(e.agent.Steps(), meanLoss, e.agent.Online.FlatParams(), e.agent.Target.FlatParams())
+	l.broadcast(e.agent.Steps(), meanLoss, e.agent.Online.FlatParams(), e.agent.Target.FlatParams())
 }
 
-// clusterFollowerTick is the follower's train tick: compute the local
-// gradient, sync with the leader if needed, push the frame (a pass
-// frame when the replay ring cannot form a minibatch yet) and block for
-// the broadcast that carries the post-step parameters back.
+// step is the follower's train tick: compute the local gradient, sync
+// with the leader if needed, push the frame (a pass frame when the
+// replay ring cannot form a minibatch yet) and block for the broadcast
+// that carries the post-step parameters back.
 //
 // The minibatch is drawn before — and regardless of — the connection
 // state: the rng stream stays tick-aligned with the leader's, so a
@@ -811,44 +771,26 @@ func (e *Engine) clusterLeaderTick(now int64) {
 // parameters (first join or rejoin), the gradient is recomputed on the
 // same batch against the just-synced parameters — a frame computed
 // against pre-sync weights must never enter the reduction.
-func (e *Engine) clusterFollowerTick(now int64) {
-	f := e.cluF
-	h := &e.cfg.Hyper
-	batchN := 0
-	loss := 0.0
-	haveGrads := false
-	if err := replay.ConstructMinibatchInto(e.db, e.rng, h.MinibatchSize, e.rewardFn, &e.batch); err == nil {
-		if e.faults != nil && e.faults.takePoison(e.agent.Steps()+1) {
-			e.poisonParamsLocked()
-		}
-		if l, err := e.agent.ComputeGradients(&e.batch); err != nil {
-			e.trainErrors++
-			e.noteTrainFaultLocked(err, now)
-		} else {
-			batchN = e.batch.N
-			loss = l
-			haveGrads = true
-		}
+func (f *clusterFollower) step(now int64) {
+	e := f.e
+	haveGrads, loss := false, 0.0
+	if e.drawBatchLocked() {
+		l, err := e.agent.ComputeGradients(&e.batch)
+		haveGrads, loss = !e.trainFaultLocked(err, now), l
 	}
 	wasSynced := f.conn != nil && f.synced
 	if err := f.ensureSynced(e.agent, now, false); err != nil {
 		return
 	}
 	if !wasSynced && haveGrads {
-		if l, err := e.agent.ComputeGradients(&e.batch); err != nil {
-			e.trainErrors++
-			e.noteTrainFaultLocked(err, now)
-			haveGrads = false
-		} else {
-			loss = l
-		}
+		l, err := e.agent.ComputeGradients(&e.batch)
+		haveGrads, loss = !e.trainFaultLocked(err, now), l
 	}
 	fr := &wire.GradFrame{Rank: f.cfg.Rank, Epoch: f.epoch, Step: e.agent.Steps() + 1}
 	if haveGrads {
-		fr.BatchN = batchN
-		fr.Loss = loss
-		e.cluWire = nn.ExportFlat(e.cluWire, e.agent.Online.FlatGrads())
-		fr.Grads = e.cluWire
+		fr.BatchN, fr.Loss = e.batch.N, loss
+		f.wire = nn.ExportFlat(f.wire, e.agent.Online.FlatGrads())
+		fr.Grads = f.wire
 	}
 	if err := f.pushFrame(fr); err != nil {
 		return
@@ -856,7 +798,6 @@ func (e *Engine) clusterFollowerTick(now int64) {
 	if err := f.awaitBroadcast(e.agent); err != nil {
 		return
 	}
-	if s := e.agent.Steps(); s > 0 && s%25 == 0 {
-		e.lossTrace = append(e.lossTrace, LossPoint{Tick: now, Loss: e.agent.SmoothedLoss()})
-	}
+	// The leader's step landed here with the broadcast.
+	e.stepDoneLocked(nil, now)
 }

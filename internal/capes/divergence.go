@@ -31,8 +31,8 @@ import (
 //
 // Once tripped the engine keeps collecting frames (the monitoring half
 // of §3.3 stays useful for diagnosis) but skips the action and training
-// branches until ClearDivergence — which RestoreSession calls for the
-// supervisor's rollback path, so a restored engine resumes clean.
+// branches until RestoreSession clears the trip — the supervisor's
+// rollback path, so a restored engine resumes clean.
 type DivergencePolicy struct {
 	// LossExplodeFactor trips when the smoothed loss exceeds this
 	// multiple of the window-minimum loss. 0 = default (1e4); negative
@@ -81,31 +81,6 @@ func (e *Engine) Divergence() (reason string, tick int64, tripped bool) {
 	return e.divReason, e.divTick, e.divTripped
 }
 
-// DivergenceTrips returns how many times the guard has tripped over the
-// engine's lifetime (clears do not reset it).
-func (e *Engine) DivergenceTrips() int64 {
-	e.divMu.Lock()
-	defer e.divMu.Unlock()
-	return e.divTrips
-}
-
-// ClearDivergence re-arms the guard (the supervisor calls it after a
-// successful rollback; RestoreSession clears implicitly). The trip
-// counter is retained.
-func (e *Engine) ClearDivergence() {
-	e.divMu.Lock()
-	defer e.divMu.Unlock()
-	e.divTripped = false
-	e.divReason = ""
-	e.divTick = 0
-}
-
-// divergedLocked is the tick path's gate; e.mu held. Reading the flag
-// under divMu on every tick would serialize two mutexes on the hot
-// path, so the tick path reads a plain bool mirror maintained under
-// e.mu (trips and clears both happen with e.mu held).
-func (e *Engine) divergedLocked() bool { return e.divGate }
-
 // tripDivergenceLocked records a trip; e.mu held. First trip wins —
 // follow-on symptoms of the same excursion (a NaN loss usually implies
 // NaN params too) must not inflate the counter the supervisor's
@@ -123,8 +98,8 @@ func (e *Engine) tripDivergenceLocked(reason string, now int64) {
 	e.divMu.Unlock()
 }
 
-// clearDivergenceLocked is ClearDivergence for callers already holding
-// e.mu (the restore path).
+// clearDivergenceLocked re-arms the guard on the restore path; e.mu
+// held. The trip counter is retained.
 func (e *Engine) clearDivergenceLocked() {
 	e.divGate = false
 	e.divMu.Lock()
@@ -134,12 +109,19 @@ func (e *Engine) clearDivergenceLocked() {
 	e.divMu.Unlock()
 }
 
-// noteTrainFaultLocked inspects a training error; non-finite faults
-// (NaN/Inf loss, diverged parameter scan) trip the guard. e.mu held.
-func (e *Engine) noteTrainFaultLocked(err error, now int64) {
+// trainFaultLocked counts a failed train or gradient computation in
+// TrainErrors and reports whether err was non-nil; non-finite faults
+// (NaN/Inf loss, diverged parameter scan) also trip the guard. e.mu
+// held.
+func (e *Engine) trainFaultLocked(err error, now int64) bool {
+	if err == nil {
+		return false
+	}
+	e.trainErrors++
 	if errors.Is(err, tensor.ErrNonFinite) {
 		e.tripDivergenceLocked(fmt.Sprintf("training fault: %v", err), now)
 	}
+	return true
 }
 
 // noteRewardLocked folds one sampled objective value into the collapse

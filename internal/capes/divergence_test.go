@@ -68,7 +68,7 @@ func TestDivergencePoisonTripsAndRollsBack(t *testing.T) {
 	if !strings.Contains(reason, "training fault") {
 		t.Fatalf("trip reason = %q, want a training fault", reason)
 	}
-	if got := eng.DivergenceTrips(); got != 1 {
+	if got := eng.Stats().DivergenceTrips; got != 1 {
 		t.Fatalf("divergence trips = %d, want 1 (first trip wins)", got)
 	}
 	st := eng.Stats()
@@ -84,11 +84,13 @@ func TestDivergencePoisonTripsAndRollsBack(t *testing.T) {
 		t.Fatalf("replay records = %d while quarantined, want 80 (collection must continue)", got)
 	}
 	// No actions leave a quarantined engine.
-	recordsBefore := len(eng.ActionHistory())
+	applied := 0
+	eng.SetActionHook(func(int64, int, []float64) { applied++ })
 	drive(eng, cur, 81, 90)
-	if got := len(eng.ActionHistory()); got != recordsBefore {
-		t.Fatalf("quarantined engine applied %d new actions", got-recordsBefore)
+	if applied != 0 {
+		t.Fatalf("quarantined engine applied %d new actions", applied)
 	}
+	eng.SetActionHook(nil)
 
 	// Rollback, then resume.
 	if err := eng.RestoreSession(dir); err != nil {
@@ -97,7 +99,7 @@ func TestDivergencePoisonTripsAndRollsBack(t *testing.T) {
 	if _, _, tripped := eng.Divergence(); tripped {
 		t.Fatal("restore did not clear the divergence trip")
 	}
-	if got := eng.DivergenceTrips(); got != 1 {
+	if got := eng.Stats().DivergenceTrips; got != 1 {
 		t.Fatalf("restore reset the lifetime trip counter: %d", got)
 	}
 	drive(eng, cur, 91, 160)

@@ -21,13 +21,16 @@ type Collector func() (replay.Frame, error)
 
 // Controller applies a parameter-value vector (aligned with the
 // ActionSpace tunables) to the target system — the adapter "for setting
-// the parameters to the target system".
+// the parameters to the target system". values is the engine's reused
+// buffer, valid only for the duration of the call: copy it to keep it.
 type Controller func(values []float64) error
 
 // ActionHook observes every successfully applied (non-NULL) action:
 // the tick it happened on, the action id, and the resulting parameter
 // vector. Session managers use it to broadcast parameter changes to
-// Control Agents without re-entering the engine.
+// Control Agents without re-entering the engine. values is the engine's
+// reused buffer, valid only for the duration of the call: copy it to
+// keep it.
 type ActionHook func(tick int64, action int, values []float64)
 
 // Config assembles an Engine.
@@ -77,12 +80,6 @@ type Config struct {
 	Divergence *DivergencePolicy
 }
 
-// LossPoint is one sample of the training loss trace (Figure 5).
-type LossPoint struct {
-	Tick int64
-	Loss float64 // EWMA-smoothed prediction error
-}
-
 // EnginePrecision is the numeric element type of the deployed DQN path:
 // float32. The train step is memory-bandwidth-bound against the flat
 // parameter working set, so halving the element size is the dominant
@@ -95,6 +92,15 @@ type EnginePrecision = float32
 // in-process deployment: it relays frames into the Replay DB, selects
 // and applies actions, and runs training steps, all on the shared
 // virtual clock.
+//
+// Tick is one path for every mode. What differs between lockstep,
+// pipelined (Config.Pipeline) and cluster (Config.Cluster) training sits
+// behind the unexported trainer interface (trainer.go), one
+// implementation per mode: it runs the due train step, reports the
+// harvested step count and loss/TD-error EWMAs the telemetry ring
+// records, fills the mode's Stats fields, and quiesces, realigns and
+// closes for the checkpoint and Stop paths. The telemetry ring
+// (History) is the only record of loss and training progress.
 //
 // Engine is safe for concurrent use: Tick, Stats, SaveSession and the
 // setters serialize on an internal mutex, so a session manager may
@@ -116,17 +122,15 @@ type Engine struct {
 	checker    ActionChecker
 
 	current  []float64
+	proposed []float64  // action-tick scratch: current with the chosen action applied
 	exploit  bool       // greedy-only mode (evaluation phase)
 	onAction ActionHook // optional observer of applied actions
 
 	missedSamples int64
 	vetoes        int64
 	trainErrors   int64
-	lossTrace     []LossPoint
 	lastAction    int
 	actionCounts  []int64 // per action id
-	history       []ActionRecord
-	historyCap    int
 
 	// Training telemetry: the bounded time-series ring behind the
 	// /history and /chart endpoints, sampled every histEvery ticks.
@@ -136,11 +140,11 @@ type Engine struct {
 	histEvery  int64
 	lastReward float64
 
-	// Hot-path scratch: the reusable minibatch every train tick samples
-	// into, and the observation buffer the action path fills. Both are
-	// at the engine precision, so frames convert float64→float32 exactly
-	// once as they are copied in — no float64 temporaries between the
-	// Replay DB and the network.
+	// Hot-path scratch: the reusable minibatch the synchronous modes
+	// sample into, and the observation buffer the action path fills.
+	// Both are at the engine precision, so frames convert float64→float32
+	// exactly once as they are copied in — no float64 temporaries
+	// between the Replay DB and the network.
 	batch      replay.Batch[EnginePrecision]
 	obsScratch []EnginePrecision
 
@@ -167,24 +171,8 @@ type Engine struct {
 	// supervisor chaos suite; see faults.go).
 	faults *FaultInjector
 
-	// pipe is the two-stage pipeline state (nil in lockstep mode).
-	pipe *pipeline
-
-	// Cluster-mode state (see cluster.go): exactly one of cluL/cluF is
-	// non-nil in cluster mode. cluAcc is the leader's float64 reduction
-	// accumulator; cluWire is the follower's gradient export scratch.
-	cluL    *clusterLeader
-	cluF    *clusterFollower
-	cluAcc  []float64
-	cluWire []float32
-}
-
-// ActionRecord is one applied action (kept in a bounded ring for
-// operator inspection — "which knobs has CAPES been turning?").
-type ActionRecord struct {
-	Tick   int64
-	Action int
-	Values []float64
+	// tr is the mode's training schedule (see trainer.go).
+	tr trainer
 }
 
 // NewEngine builds an engine. collector must not be nil; controller may
@@ -284,20 +272,22 @@ func NewEngine(cfg Config, collector Collector, controller Controller) (*Engine,
 		rewardFn:     RewardFunc(cfg.Objective, cfg.RewardMode),
 		checker:      checker,
 		current:      cfg.Space.Defaults(),
+		proposed:     cfg.Space.Defaults(),
 		lastAction:   NullAction,
 		actionCounts: make([]int64, cfg.Space.NumActions()),
-		historyCap:   256,
 		hist:         newHistory(histCap),
 		histEvery:    histEvery,
 		obsScratch:   make([]EnginePrecision, db.ObservationWidth()),
 	}
-	if cfg.Pipeline {
-		e.startPipeline()
-	}
-	if clustered {
-		if err := e.startCluster(cfg.Cluster.withDefaults()); err != nil {
+	switch {
+	case cfg.Pipeline:
+		e.tr = newPipeline(e)
+	case clustered:
+		if e.tr, err = newClusterTrainer(e, cfg.Cluster.withDefaults()); err != nil {
 			return nil, err
 		}
+	default:
+		e.tr = lockstep{e}
 	}
 	return e, nil
 }
@@ -315,11 +305,7 @@ func (e *Engine) Tick(now int64) {
 		// Deterministic fault hook (tests only): may panic or block.
 		e.faults.beforeTick(now)
 	}
-	if e.pipe != nil {
-		// Join any in-flight batch assembly before this tick writes to
-		// the ring (the join-before-write discipline of pipeline.go).
-		e.joinPrefetchLocked()
-	}
+	e.tr.beginTick()
 	h := &e.cfg.Hyper
 
 	// Sampling tick: collect a frame and relay it to the Replay DB.
@@ -338,75 +324,46 @@ func (e *Engine) Tick(now int64) {
 
 	// Action tick. A tripped divergence guard quarantines the policy:
 	// no actions leave a diverged network, and no training compounds the
-	// excursion, until the supervisor rolls the session back (or an
-	// operator clears the trip). Collection above keeps running.
+	// excursion, until the supervisor rolls the session back. Collection
+	// above keeps running.
 	if e.cfg.Tuning && !e.divGate && now%h.ActionTickLength == 0 {
 		action := e.chooseAction(now)
-		proposed := e.cfg.Space.Apply(action, e.current)
-		if err := e.checker(proposed); err != nil {
+		e.cfg.Space.ApplyInto(e.proposed, e.current, action)
+		if err := e.checker(e.proposed); err != nil {
 			e.vetoes++
 			action = NullAction
-			proposed = e.current
 		}
 		e.db.PutAction(now, action)
 		e.lastAction = action
 		e.actionCounts[action]++
 		if action != NullAction {
-			if err := e.controller(proposed); err == nil {
-				e.current = proposed
-				e.recordAction(now, action)
+			if err := e.controller(e.proposed); err == nil {
+				copy(e.current, e.proposed)
 				if e.onAction != nil {
-					e.onAction(now, action, proposed)
+					e.onAction(now, action, e.current)
 				}
 			}
 		}
 	}
 
-	// Training step. ConstructMinibatchInto failing just means not
-	// enough data yet; either way the telemetry sample below still runs.
+	// Training step. A DB too sparse for a minibatch just skips it;
+	// either way the telemetry sample below still runs.
 	if e.cfg.Training && !e.divGate && now >= h.TrainStartTicks && now%h.TrainEvery == 0 {
-		if e.cluL != nil {
-			e.clusterLeaderTick(now)
-			e.maybeProbeLocked(e.agent.Steps(), now)
-		} else if e.cluF != nil {
-			e.clusterFollowerTick(now)
-			e.maybeProbeLocked(e.agent.Steps(), now)
-		} else if e.pipe != nil {
-			e.trainTickPipelined(now)
-		} else if err := replay.ConstructMinibatchInto(e.db, e.rng, h.MinibatchSize, e.rewardFn, &e.batch); err == nil {
-			if e.faults != nil && e.faults.takePoison(e.agent.Steps()+1) {
-				e.poisonParamsLocked()
-			}
-			if _, err := e.agent.TrainStep(&e.batch); err != nil {
-				e.trainErrors++
-				e.noteTrainFaultLocked(err, now)
-			} else {
-				e.maybeProbeLocked(e.agent.Steps(), now)
-				if e.agent.Steps()%25 == 0 {
-					e.lossTrace = append(e.lossTrace, LossPoint{Tick: now, Loss: e.agent.SmoothedLoss()})
-				}
-			}
-		}
+		e.tr.step(now)
 	}
 
 	// Telemetry sample: one HistoryPoint per histEvery ticks, recorded
 	// last so this tick's training step is already reflected. Record is
-	// alloc-free, so the tick path stays 0 allocs/op. In pipelined mode
-	// the training counters come from the harvested caches — the agent's
-	// own fields belong to the trainer while a step is in flight.
+	// alloc-free, so the tick path stays 0 allocs/op. The training
+	// counters come from the trainer: in pipelined mode the agent's own
+	// fields belong to the worker while a step is in flight.
 	if e.histEvery > 0 && now%e.histEvery == 0 {
 		random, calc := e.agent.ActionCounts()
 		eps := 0.0
 		if !e.exploit {
 			eps = e.agent.Epsilon.At(now)
 		}
-		var steps int64
-		var loss, tdErr float64
-		if e.pipe != nil {
-			steps, loss, tdErr = e.pipe.steps, e.pipe.lossEWMA, e.pipe.tdErrEWMA
-		} else {
-			steps, loss, tdErr = e.agent.Steps(), e.agent.SmoothedLoss(), e.agent.TDErrorEMA()
-		}
+		steps, loss, tdErr := e.tr.counters()
 		e.hist.Record(HistoryPoint{
 			Tick:          now,
 			Reward:        e.lastReward,
@@ -428,42 +385,18 @@ func (e *Engine) Tick(now int64) {
 // observation (cold start), otherwise ε-greedy (or pure greedy in
 // exploit mode). The observation is assembled straight into the
 // engine-precision scratch buffer — one conversion per value, no
-// allocation, no float64 staging.
+// allocation, no float64 staging. The forward pass goes through the
+// published parameter snapshot, which only the pipelined mode enables
+// (a train step may be mutating the online arenas right now); every
+// other mode has none and forwards through the online network.
 func (e *Engine) chooseAction(now int64) int {
 	if err := replay.ObservationInto(e.db, e.obsScratch, now); err != nil {
 		return e.rng.Intn(e.cfg.Space.NumActions())
 	}
-	if e.pipe != nil {
-		// Pipelined: forward through the published parameter snapshot —
-		// a train step may be mutating the online arenas right now.
-		if e.exploit {
-			return e.agent.GreedyActionPublished(e.obsScratch)
-		}
-		return e.agent.SelectActionPublished(e.obsScratch, now)
-	}
 	if e.exploit {
-		return e.agent.GreedyAction(e.obsScratch)
+		return e.agent.GreedyActionPublished(e.obsScratch)
 	}
-	return e.agent.SelectAction(e.obsScratch, now)
-}
-
-// recordAction appends to the bounded action history.
-func (e *Engine) recordAction(now int64, action int) {
-	rec := ActionRecord{Tick: now, Action: action, Values: append([]float64(nil), e.current...)}
-	if len(e.history) >= e.historyCap {
-		copy(e.history, e.history[1:])
-		e.history[len(e.history)-1] = rec
-		return
-	}
-	e.history = append(e.history, rec)
-}
-
-// ActionHistory returns the most recent applied actions (oldest first),
-// up to the engine's history capacity.
-func (e *Engine) ActionHistory() []ActionRecord {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]ActionRecord(nil), e.history...)
+	return e.agent.SelectActionPublished(e.obsScratch, now)
 }
 
 // ActionDistribution returns how often each action id was chosen,
@@ -515,13 +448,13 @@ func (e *Engine) SetActionHook(h ActionHook) {
 
 // Stop drains the engine: every subsequent Tick is a no-op, so agent
 // callbacks still in flight cannot race a final checkpoint or teardown.
-// In pipelined mode it also joins the in-flight stages and shuts the
-// worker goroutines down. Stop is idempotent.
+// It also closes the trainer: the pipeline joins its in-flight stages
+// and shuts its workers down, a cluster engine closes its connections.
+// Stop is idempotent.
 func (e *Engine) Stop() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.closePipelineLocked()
-	e.closeClusterLocked()
+	e.tr.close()
 	e.stopped = true
 }
 
@@ -545,15 +478,10 @@ func (e *Engine) CurrentValues() []float64 {
 func (e *Engine) SetCurrentValues(vals []float64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.setCurrentValues(vals)
-}
-
-// setCurrentValues is SetCurrentValues with e.mu held.
-func (e *Engine) setCurrentValues(vals []float64) error {
 	if len(vals) != len(e.cfg.Space.Tunables) {
 		return fmt.Errorf("capes: got %d values for %d tunables", len(vals), len(e.cfg.Space.Tunables))
 	}
-	e.current = append([]float64(nil), vals...)
+	copy(e.current, vals)
 	return nil
 }
 
@@ -570,13 +498,6 @@ func (e *Engine) DB() *replay.DB { return e.db }
 
 // Agent exposes the Q-learning agent (at the engine precision).
 func (e *Engine) Agent() *rl.Agent[EnginePrecision] { return e.agent }
-
-// LossTrace returns the recorded prediction-error series (Figure 5).
-func (e *Engine) LossTrace() []LossPoint {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]LossPoint(nil), e.lossTrace...)
-}
 
 // History returns a copy of the retained training-telemetry window,
 // oldest first.
@@ -616,12 +537,12 @@ type Stats struct {
 
 	// Divergence-guard state (see divergence.go). Diverged mirrors the
 	// trip flag at snapshot time; DivergenceTrips counts lifetime trips
-	// (clears and rollbacks do not reset it).
+	// (rollbacks do not reset it).
 	Diverged         bool
 	DivergenceReason string
 	DivergenceTrips  int64
 
-	// Pipeline health (see pipeline.go); all zero in lockstep mode.
+	// Pipeline health (see pipeline.go); all zero in the other modes.
 	Pipelined         bool  // engine runs the two-stage pipeline
 	PrefetchedBatches int64 // train ticks served from a completed prefetch
 	PrefetchMisses    int64 // train ticks that assembled their batch in line
@@ -638,7 +559,9 @@ func (e *Engine) Stats() Stats {
 	defer e.mu.Unlock()
 	random, calc := e.agent.ActionCounts()
 	last := e.hist.Last()
+	steps, _, _ := e.tr.counters()
 	s := Stats{
+		TrainSteps:    steps,
 		MissedSamples: e.missedSamples,
 		Vetoes:        e.vetoes,
 		TrainErrors:   e.trainErrors,
@@ -657,22 +580,6 @@ func (e *Engine) Stats() Stats {
 	s.DivergenceReason = e.divReason
 	s.DivergenceTrips = e.divTrips
 	e.divMu.Unlock()
-	if e.pipe != nil {
-		s.TrainSteps = e.pipe.steps
-		s.Pipelined = true
-		s.PrefetchedBatches = e.pipe.prefetched
-		s.PrefetchMisses = e.pipe.misses
-	} else {
-		s.TrainSteps = e.agent.Steps()
-	}
-	if e.cluL != nil {
-		cs := e.cluL.statsSnapshot()
-		s.Cluster = &cs
-	} else if e.cluF != nil {
-		cs := e.cluF.stats
-		cs.Epoch = e.cluF.epoch
-		cs.Synced = e.cluF.conn != nil && e.cluF.synced
-		s.Cluster = &cs
-	}
+	e.tr.fillStats(&s)
 	return s
 }

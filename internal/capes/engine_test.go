@@ -148,23 +148,32 @@ func TestEngineWrongFrameWidthCounted(t *testing.T) {
 	}
 }
 
+// TestEngineTrainingProducesLossTrace: training shows up in the
+// telemetry ring, the engine's one record of the Figure 5 loss curve.
 func TestEngineTrainingProducesLossTrace(t *testing.T) {
 	cfg, _ := smallConfig(t, true, true)
+	var tick int64
 	eng, err := NewEngine(cfg,
-		func() (replay.Frame, error) { return replay.Frame{1, 2, 3}, nil },
+		func() (replay.Frame, error) { return tickFrame(tick), nil },
 		func([]float64) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	for tick := int64(1); tick <= 300; tick++ {
+	for tick = 1; tick <= 300; tick++ {
 		eng.Tick(tick)
 	}
 	st := eng.Stats()
 	if st.TrainSteps == 0 {
 		t.Fatal("no training steps executed")
 	}
-	if len(eng.LossTrace()) == 0 {
-		t.Fatal("no loss trace recorded")
+	trained := 0
+	for _, p := range eng.History() {
+		if p.TrainSteps > 0 && p.Loss > 0 {
+			trained++
+		}
+	}
+	if trained == 0 {
+		t.Fatal("no loss recorded in the telemetry history")
 	}
 	if st.TrainErrors != 0 {
 		t.Fatalf("training errors: %d", st.TrainErrors)
@@ -517,8 +526,8 @@ func TestEngineActionHookSeesAppliedActions(t *testing.T) {
 	}
 	// The hook's last call matches the engine's applied state.
 	last := calls[len(calls)-1]
-	if got := eng.ActionHistory(); got[len(got)-1].Tick != last.tick {
-		t.Fatalf("hook tick %d != history tick %d", last.tick, got[len(got)-1].Tick)
+	if got := eng.CurrentValues(); got[0] != last.values[0] {
+		t.Fatalf("hook values %v != current values %v", last.values, got)
 	}
 	eng.SetActionHook(nil) // removable
 	n := len(calls)
@@ -556,8 +565,8 @@ func TestEngineConcurrentStatsAndCheckpoint(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			eng.Stats()
 			eng.CurrentValues()
-			eng.ActionHistory()
-			eng.LossTrace()
+			eng.ActionDistribution()
+			eng.History()
 		}
 	}()
 	wg.Add(1)
@@ -585,6 +594,9 @@ func TestEngineConcurrentStatsAndCheckpoint(t *testing.T) {
 	}
 }
 
+// TestEngineActionHistoryAndDistribution: the action hook is the record
+// of applied actions — ordered by tick, never NULL, each carrying the
+// applied values — and the distribution counts every action tick.
 func TestEngineActionHistoryAndDistribution(t *testing.T) {
 	cfg, space := smallConfig(t, true, false)
 	eng, err := NewEngine(cfg,
@@ -593,6 +605,15 @@ func TestEngineActionHistoryAndDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	type record struct {
+		tick   int64
+		action int
+		values []float64
+	}
+	var hist []record
+	eng.SetActionHook(func(tick int64, action int, values []float64) {
+		hist = append(hist, record{tick, action, append([]float64(nil), values...)})
+	})
 	for tick := int64(1); tick <= 400; tick++ {
 		eng.Tick(tick)
 	}
@@ -600,39 +621,45 @@ func TestEngineActionHistoryAndDistribution(t *testing.T) {
 	if len(dist) != space.NumActions() {
 		t.Fatalf("distribution len = %d", len(dist))
 	}
-	var total int64
-	for _, c := range dist {
+	var total, nonNull int64
+	for a, c := range dist {
 		total += c
+		if a != NullAction {
+			nonNull += c
+		}
 	}
 	if total != 400 {
 		t.Fatalf("distribution total = %d", total)
 	}
-	hist := eng.ActionHistory()
 	if len(hist) == 0 {
-		t.Fatal("no action history under exploration")
+		t.Fatal("no applied actions under exploration")
 	}
-	if len(hist) > 256 {
-		t.Fatalf("history exceeded cap: %d", len(hist))
+	// Without a checker veto or controller error, every non-NULL action
+	// is applied and reported.
+	if int64(len(hist)) != nonNull {
+		t.Fatalf("hook saw %d actions, distribution has %d non-NULL", len(hist), nonNull)
 	}
-	// History entries are ordered by tick and carry the applied values.
 	for i := 1; i < len(hist); i++ {
-		if hist[i].Tick <= hist[i-1].Tick {
-			t.Fatal("history not ordered")
+		if hist[i].tick <= hist[i-1].tick {
+			t.Fatal("hook calls not ordered by tick")
 		}
 	}
 	for _, h := range hist {
-		if h.Action == NullAction {
-			t.Fatal("NULL actions must not enter the history")
+		if h.action == NullAction {
+			t.Fatal("NULL actions must not reach the hook")
 		}
-		if len(h.Values) != 1 {
-			t.Fatalf("history values = %v", h.Values)
+		if len(h.values) != 1 {
+			t.Fatalf("hook values = %v", h.values)
 		}
 	}
 }
 
+// TestEngineHistoryRingBound: the telemetry ring keeps the newest
+// HistoryCap samples, contiguous at the HistoryEvery cadence.
 func TestEngineHistoryRingBound(t *testing.T) {
-	cfg, _ := smallConfig(t, true, false)
-	cfg.Hyper.EpsilonFinal = 1.0 // keep every action random so non-NULL actions keep flowing
+	cfg, _ := smallConfig(t, true, true)
+	cfg.HistoryEvery = 2
+	cfg.HistoryCap = 256
 	eng, err := NewEngine(cfg,
 		func() (replay.Frame, error) { return replay.Frame{1, 2, 3}, nil },
 		func([]float64) error { return nil })
@@ -642,12 +669,13 @@ func TestEngineHistoryRingBound(t *testing.T) {
 	for tick := int64(1); tick <= 2000; tick++ {
 		eng.Tick(tick)
 	}
-	hist := eng.ActionHistory()
+	hist := eng.History()
 	if len(hist) != 256 {
 		t.Fatalf("ring size = %d, want 256", len(hist))
 	}
-	// The retained window is the most recent one.
-	if hist[len(hist)-1].Tick < 1500 {
-		t.Fatalf("history stale: last tick %d", hist[len(hist)-1].Tick)
+	for i, p := range hist {
+		if want := int64(2000 - 2*(255-i)); p.Tick != want {
+			t.Fatalf("point %d at tick %d, want %d (the newest window)", i, p.Tick, want)
+		}
 	}
 }

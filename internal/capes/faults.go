@@ -96,9 +96,13 @@ func (e *Engine) SetFaultInjector(f *FaultInjector) {
 	e.faults = f
 }
 
-// poisonParamsLocked corrupts the online network in the smallest way
-// that still trips the divergence guard: one NaN parameter. The next
-// forward pass propagates it into the Q-values and the minibatch loss.
-func (e *Engine) poisonParamsLocked() {
-	e.agent.Online.FlatParams()[0] = EnginePrecision(math.NaN())
+// maybePoisonLocked serves an armed PoisonTrainStep before the train
+// step about to run; e.mu held and the trainer idle. It corrupts the
+// online network in the smallest way that still trips the divergence
+// guard: one NaN parameter, which the next forward pass propagates into
+// the Q-values and the minibatch loss.
+func (e *Engine) maybePoisonLocked() {
+	if e.faults != nil && e.faults.takePoison(e.agent.Steps()+1) {
+		e.agent.Online.FlatParams()[0] = EnginePrecision(math.NaN())
+	}
 }

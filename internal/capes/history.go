@@ -55,9 +55,6 @@ func (h *History) Record(p HistoryPoint) {
 // Len returns the number of retained points.
 func (h *History) Len() int { return h.n }
 
-// Cap returns the ring capacity.
-func (h *History) Cap() int { return len(h.buf) }
-
 // at returns the i-th retained point, oldest first.
 func (h *History) at(i int) HistoryPoint {
 	return h.buf[(h.start+i)%len(h.buf)]
@@ -99,8 +96,8 @@ func (h *History) Since(cursor int64) []HistoryPoint {
 func (h *History) Snapshot() []HistoryPoint { return h.Since(-1 << 62) }
 
 // restore replaces the ring contents with the given points (oldest
-// first), keeping the newest Cap() of them — the checkpoint-restore
-// path.
+// first), keeping as many of the newest as the ring holds — the
+// checkpoint-restore path.
 func (h *History) restore(pts []HistoryPoint) {
 	h.start, h.n = 0, 0
 	if len(pts) > len(h.buf) {

@@ -77,9 +77,6 @@ func TestHistoryRingProperties(t *testing.T) {
 
 func TestHistoryLastAndRestore(t *testing.T) {
 	h := newHistory(4)
-	if h.Cap() != 4 {
-		t.Fatalf("Cap() = %d", h.Cap())
-	}
 	if h.Last() != (HistoryPoint{}) {
 		t.Fatal("empty ring Last() must be zero")
 	}
@@ -117,33 +114,61 @@ func TestHistoryRecordAllocFree(t *testing.T) {
 	}
 }
 
-// TestEngineTickAllocFreeWithHistory: with the replay ring at capacity
-// a monitor-only tick — sample + telemetry record — is 0 allocs/op, so
-// history recording adds nothing to the tick path.
+// TestEngineTickAllocFreeWithHistory: in steady state the whole tick
+// path — sample, act (ApplyInto, checker, controller), train and
+// the telemetry record — is 0 allocs/op with tuning and training both
+// on, in the lockstep and pipelined modes alike.
 func TestEngineTickAllocFreeWithHistory(t *testing.T) {
-	cfg, _ := smallConfig(t, false, false)
-	cfg.Hyper.ReplayCapacity = 64
-	cfg.HistoryEvery = 1 // record on every tick to maximize exposure
-	cfg.HistoryCap = 32
-	frame := replay.Frame{1, 2, 3}
-	eng, err := NewEngine(cfg, func() (replay.Frame, error) { return frame, nil }, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tick int64
-	// Warm past ring growth and wrap both the replay and history rings.
-	for tick = 1; tick <= 256; tick++ {
-		eng.Tick(tick)
-	}
-	allocs := testing.AllocsPerRun(500, func() {
-		tick++
-		eng.Tick(tick)
-	})
-	if allocs != 0 {
-		t.Fatalf("tick path with history recording allocates %.1f/op, want 0", allocs)
-	}
-	if got := eng.Stats().HistoryPoints; got != 32 {
-		t.Fatalf("history points = %d, want ring cap 32", got)
+	for _, tc := range []struct {
+		name     string
+		pipeline bool
+	}{{"lockstep", false}, {"pipelined", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, _ := smallConfig(t, true, true)
+			cfg.Pipeline = tc.pipeline
+			cfg.Hyper.ReplayCapacity = 64
+			cfg.HistoryEvery = 1 // record on every tick to maximize exposure
+			cfg.HistoryCap = 32
+			var tick int64
+			// The collector reuses one frame buffer (PutFrame copies it
+			// into the ring) — tickFrame would charge a slice allocation
+			// per tick to the engine.
+			frame := make(replay.Frame, 3)
+			eng, err := NewEngine(cfg,
+				func() (replay.Frame, error) {
+					v := float64(tick%97) / 97
+					frame[0], frame[1], frame[2] = v, 1-v, float64(tick%5)
+					return frame, nil
+				},
+				func([]float64) error { return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Stop()
+			// Warm past ring growth and wrap both the replay and history
+			// rings.
+			for tick = 1; tick <= 600; tick++ {
+				eng.Tick(tick)
+			}
+			before := eng.Stats()
+			allocs := testing.AllocsPerRun(200, func() {
+				tick++
+				eng.Tick(tick)
+			})
+			if allocs != 0 {
+				t.Fatalf("tick path allocates %.1f/op, want 0", allocs)
+			}
+			st := eng.Stats()
+			if st.TrainSteps <= before.TrainSteps || st.HistoryPoints != 32 {
+				t.Fatalf("alloc window never trained or recorded: %+v", st)
+			}
+			if applied := st.RandomActions + st.CalcActions - before.RandomActions - before.CalcActions; applied == 0 {
+				t.Fatalf("alloc window never acted: %+v", st)
+			}
+			if tc.pipeline && st.PrefetchedBatches == 0 {
+				t.Fatalf("alloc window never exercised the pipeline: %+v", st)
+			}
+		})
 	}
 }
 

@@ -56,16 +56,13 @@ type trainReq struct {
 	b     *replay.Batch[EnginePrecision]
 }
 
-type trainResult struct {
-	loss float64
-	err  error
-}
-
-// pipeline is the engine-side state of the two worker stages. All
-// fields are owned by the engine under e.mu except the channels; the
-// workers' side effects are observed only through joins, which give the
-// happens-before edges the harvested reads rely on.
+// pipeline is the pipelined mode's trainer: the engine-side state of
+// the two worker stages. All fields are owned by the engine under e.mu
+// except the channels; the workers' side effects are observed only
+// through joins, which give the happens-before edges the harvested
+// reads rely on.
 type pipeline struct {
+	e   *Engine
 	rng *rand.Rand // prefetch sampling stream
 
 	// Double-buffered minibatches: the trainer consumes batches[cur^1]
@@ -79,7 +76,7 @@ type pipeline struct {
 	prefetchReady    bool // batches[cur] holds an unconsumed successful prefetch
 
 	trainReq      chan trainReq
-	trainDone     chan trainResult
+	trainDone     chan error
 	trainInFlight bool
 	trainTick     int64 // schedule slot of the in-flight train step
 
@@ -97,53 +94,50 @@ type pipeline struct {
 	wg     sync.WaitGroup
 }
 
-// startPipeline allocates the pipeline and its two workers; called once
-// from NewEngine when cfg.Pipeline is set.
-func (e *Engine) startPipeline() {
+// newPipeline allocates the pipeline and starts its two workers; called
+// once from NewEngine when cfg.Pipeline is set.
+func newPipeline(e *Engine) *pipeline {
 	p := &pipeline{
+		e:            e,
 		rng:          rand.New(rand.NewSource(e.cfg.Seed ^ prefetchSeedSalt)),
 		prefetchReq:  make(chan prefetchReq, 1),
 		prefetchDone: make(chan error, 1),
 		trainReq:     make(chan trainReq, 1),
-		trainDone:    make(chan trainResult, 1),
+		trainDone:    make(chan error, 1),
 	}
-	e.pipe = p
 	e.agent.EnablePublishing()
 	p.wg.Add(2)
-	go e.prefetchWorker()
-	go e.trainWorker()
+	go p.prefetchWorker(e.rewardFn)
+	go p.trainWorker()
+	return p
 }
 
 // prefetchWorker assembles minibatches from pinned ring bounds. The
 // request carries the DB so a session restore (which may replace e.db)
 // never shares a field with a running worker.
-func (e *Engine) prefetchWorker() {
-	p := e.pipe
+func (p *pipeline) prefetchWorker(rf replay.RewardFunc) {
 	defer p.wg.Done()
 	for req := range p.prefetchReq {
 		p.prefetchDone <- replay.ConstructMinibatchPinnedInto(
-			req.db, p.rng, req.n, e.rewardFn, req.b, req.lo, req.hi)
+			req.db, p.rng, req.n, rf, req.b, req.lo, req.hi)
 	}
 }
 
 // trainWorker runs train steps. Parameter publication happens at the
 // join, not here, so the action path's view of the network changes only
 // at deterministic schedule points.
-func (e *Engine) trainWorker() {
-	p := e.pipe
+func (p *pipeline) trainWorker() {
 	defer p.wg.Done()
 	for req := range p.trainReq {
-		loss, err := req.agent.TrainStep(req.b)
-		p.trainDone <- trainResult{loss: loss, err: err}
+		_, err := req.agent.TrainStep(req.b)
+		p.trainDone <- err
 	}
 }
 
-// joinPrefetchLocked waits out any in-flight batch assembly; e.mu held.
-// Runs at the top of every pipelined Tick, before the tick writes to
-// the ring — the discipline that keeps assembly reads frozen at their
-// launch tick.
-func (e *Engine) joinPrefetchLocked() {
-	p := e.pipe
+// beginTick waits out any in-flight batch assembly before the tick
+// writes to the ring — the discipline that keeps assembly reads frozen
+// at their launch tick.
+func (p *pipeline) beginTick() {
 	if p.prefetchInFlight {
 		err := <-p.prefetchDone
 		p.prefetchInFlight = false
@@ -151,43 +145,37 @@ func (e *Engine) joinPrefetchLocked() {
 	}
 }
 
-// joinTrainLocked waits out the in-flight train step, harvests the
+// joinTrain waits out the in-flight train step, harvests the
 // trainer-owned counters into the engine-side caches, and publishes the
-// stepped parameters to the inference mirror; e.mu held.
-func (e *Engine) joinTrainLocked() {
-	p := e.pipe
+// stepped parameters to the inference mirror.
+func (p *pipeline) joinTrain() {
 	if !p.trainInFlight {
 		return
 	}
-	res := <-p.trainDone
+	e := p.e
+	err := <-p.trainDone
 	p.trainInFlight = false
 	p.steps = e.agent.Steps()
 	p.lossEWMA = e.agent.SmoothedLoss()
 	p.tdErrEWMA = e.agent.TDErrorEMA()
-	if res.err != nil {
-		e.trainErrors++
-		e.noteTrainFaultLocked(res.err, p.trainTick)
-		return
-	}
-	e.agent.PublishParams()
 	// The trainer is idle between the join and the next launch — the
 	// only pipelined window where the divergence probe may touch the
 	// online arenas.
-	e.maybeProbeLocked(p.steps, p.trainTick)
-	if p.steps%25 == 0 {
-		e.lossTrace = append(e.lossTrace, LossPoint{Tick: p.trainTick, Loss: p.lossEWMA})
+	e.stepDoneLocked(err, p.trainTick)
+	if err == nil {
+		e.agent.PublishParams()
 	}
 }
 
-// trainTickPipelined is the train branch of a pipelined Tick; e.mu
-// held. It joins the previous train step, hands the prefetched batch to
-// the trainer (assembling in line on a cold start or failed prefetch,
-// exactly as lockstep mode would), and launches the prefetch for the
-// next train-due tick into the freed buffer.
-func (e *Engine) trainTickPipelined(now int64) {
-	p := e.pipe
+// step is the train branch of a pipelined Tick. It joins the previous
+// train step, hands the prefetched batch to the trainer (assembling in
+// line on a cold start or failed prefetch, exactly as lockstep mode
+// would), and launches the prefetch for the next train-due tick into
+// the freed buffer.
+func (p *pipeline) step(now int64) {
+	e := p.e
 	h := &e.cfg.Hyper
-	e.joinTrainLocked()
+	p.joinTrain()
 	b := &p.batches[p.cur]
 	ok := p.prefetchReady
 	p.prefetchReady = false
@@ -199,11 +187,9 @@ func (e *Engine) trainTickPipelined(now int64) {
 		ok = bounded && replay.ConstructMinibatchPinnedInto(e.db, p.rng, h.MinibatchSize, e.rewardFn, b, lo, hi) == nil
 	}
 	if ok {
-		if e.faults != nil && e.faults.takePoison(e.agent.Steps()+1) {
-			// The previous step is joined, so the trainer is idle and the
-			// arenas are the engine's to poison.
-			e.poisonParamsLocked()
-		}
+		// The previous step is joined, so the trainer is idle and the
+		// arenas are the engine's to poison.
+		e.maybePoisonLocked()
 		p.trainTick = now
 		p.trainInFlight = true
 		p.trainReq <- trainReq{agent: e.agent, b: b}
@@ -219,45 +205,43 @@ func (e *Engine) trainTickPipelined(now int64) {
 	}
 }
 
-// quiesceLocked joins both pipeline stages; e.mu held. Callers about to
-// read or replace trainer-owned state (checkpoint, restore, stop) must
-// quiesce first. No-op in lockstep mode.
-func (e *Engine) quiesceLocked() {
-	if e.pipe == nil {
-		return
-	}
-	e.joinPrefetchLocked()
-	e.joinTrainLocked()
+func (p *pipeline) counters() (int64, float64, float64) {
+	return p.steps, p.lossEWMA, p.tdErrEWMA
 }
 
-// closePipelineLocked quiesces and shuts the workers down; e.mu held.
-// Idempotent.
-func (e *Engine) closePipelineLocked() {
-	p := e.pipe
-	if p == nil || p.closed {
+func (p *pipeline) fillStats(s *Stats) {
+	s.Pipelined = true
+	s.PrefetchedBatches = p.prefetched
+	s.PrefetchMisses = p.misses
+}
+
+// quiesce joins both stages.
+func (p *pipeline) quiesce() {
+	p.beginTick()
+	p.joinTrain()
+}
+
+// realign rebinds the pipeline to a restored session's agent and
+// discards any batch prefetched from the replaced DB. Publishing must
+// be live before the trainer can ever touch the new agent, or the
+// action path would read the online arenas.
+func (p *pipeline) realign() {
+	a := p.e.agent
+	a.EnablePublishing()
+	p.prefetchReady = false
+	p.steps = a.Steps()
+	p.lossEWMA = a.SmoothedLoss()
+	p.tdErrEWMA = a.TDErrorEMA()
+}
+
+// close quiesces and shuts the workers down.
+func (p *pipeline) close() {
+	if p.closed {
 		return
 	}
-	e.quiesceLocked()
+	p.quiesce()
 	p.closed = true
 	close(p.prefetchReq)
 	close(p.trainReq)
 	p.wg.Wait()
 }
-
-// resetPipelineLocked rebinds the pipeline to a restored session's
-// agent and discards any batch prefetched from the replaced DB; e.mu
-// held, pipeline quiesced.
-func (e *Engine) resetPipelineLocked() {
-	p := e.pipe
-	if p == nil {
-		return
-	}
-	p.prefetchReady = false
-	p.steps = e.agent.Steps()
-	p.lossEWMA = e.agent.SmoothedLoss()
-	p.tdErrEWMA = e.agent.TDErrorEMA()
-}
-
-// Pipelined reports whether the engine runs the two-stage control-loop
-// pipeline (Config.Pipeline).
-func (e *Engine) Pipelined() bool { return e.pipe != nil }

@@ -121,7 +121,7 @@ func (e *Engine) SaveSession(dir string) error {
 	defer e.mu.Unlock()
 	// A pipelined engine may have a train step mutating the model and a
 	// prefetch reading the ring; join both so the snapshot is consistent.
-	e.quiesceLocked()
+	e.tr.quiesce()
 	if err := recoverCheckpointDir(dir); err != nil {
 		return err
 	}
@@ -204,9 +204,8 @@ func (e *Engine) RestoreSession(dir string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	// Restore replaces the agent and possibly the DB wholesale; the
-	// pipeline must be idle across that, and any batch prefetched from
-	// the old DB discarded (resetPipelineLocked below).
-	e.quiesceLocked()
+	// trainer must be idle across that, and realigned after (below).
+	e.tr.quiesce()
 	if err := recoverCheckpointDir(dir); err != nil {
 		return err
 	}
@@ -275,17 +274,12 @@ func (e *Engine) RestoreSession(dir string) error {
 	}
 
 	// Commit point: everything validated, replace engine state.
-	if e.pipe != nil {
-		// Publishing must be live before the trainer can ever touch the
-		// new agent, or the action path would read the online arenas.
-		agent.EnablePublishing()
-	}
 	e.agent = agent
 	if db != nil {
 		e.db = db
 	}
 	if m.CurrentValues != nil {
-		e.current = append([]float64(nil), m.CurrentValues...)
+		copy(e.current, m.CurrentValues)
 	}
 	if pts != nil {
 		e.hist.restore(pts)
@@ -299,11 +293,12 @@ func (e *Engine) RestoreSession(dir string) error {
 	e.lastProbeStep = m.TrainSteps
 	e.rewardSeeded = false
 	e.rewardPeak = 0
-	e.resetPipelineLocked()
-	// A cluster engine realigns its peers: the leader republishes the
-	// restored parameters and evicts followers (they rejoin against
-	// them), a follower drops its connection and resyncs.
-	e.resyncClusterLocked()
+	// The trainer rebinds to the restored agent and DB: the pipeline
+	// publishes from the new agent and drops any batch prefetched from
+	// the old DB; a cluster leader republishes the restored parameters
+	// and evicts followers (they rejoin against them), a follower drops
+	// its connection and resyncs.
+	e.tr.realign()
 	return nil
 }
 

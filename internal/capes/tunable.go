@@ -117,25 +117,26 @@ func (s *ActionSpace) Defaults() []float64 {
 	return vals
 }
 
-// Apply returns the parameter vector that results from taking `action`
-// at `current`, clamped to each tunable's valid range. current is not
-// modified. An invalid action id is treated as NULL.
-func (s *ActionSpace) Apply(action int, current []float64) []float64 {
-	if len(current) != len(s.Tunables) {
-		panic(fmt.Sprintf("capes: Apply got %d values for %d tunables", len(current), len(s.Tunables)))
+// ApplyInto writes into dst the parameter vector that results from
+// taking `action` at `current`, clamped to each tunable's valid range.
+// dst may alias current; otherwise current is not modified. An invalid
+// action id is treated as NULL. It never allocates, so the engine's
+// action tick applies into a preallocated buffer.
+func (s *ActionSpace) ApplyInto(dst, current []float64, action int) {
+	if len(current) != len(s.Tunables) || len(dst) != len(s.Tunables) {
+		panic(fmt.Sprintf("capes: ApplyInto got %d/%d values for %d tunables", len(dst), len(current), len(s.Tunables)))
 	}
-	next := append([]float64(nil), current...)
+	copy(dst, current)
 	idx, up := s.decode(action)
 	if idx < 0 {
-		return next
+		return
 	}
 	t := s.Tunables[idx]
 	if up {
-		next[idx] = t.Clamp(next[idx] + t.Step)
+		dst[idx] = t.Clamp(dst[idx] + t.Step)
 	} else {
-		next[idx] = t.Clamp(next[idx] - t.Step)
+		dst[idx] = t.Clamp(dst[idx] - t.Step)
 	}
-	return next
 }
 
 // LustreTunables returns the two parameters the evaluation tunes on every

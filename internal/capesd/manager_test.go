@@ -1,6 +1,7 @@
 package capesd
 
 import (
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -284,5 +285,59 @@ func TestRestoreFailsLoudlyOnCorruptCheckpoint(t *testing.T) {
 	fresh := testSession("c", filepath.Join(t.TempDir(), "empty"))
 	if _, err := m.Create(fresh); err != nil {
 		t.Fatalf("fresh checkpoint dir must not fail: %v", err)
+	}
+}
+
+// TestBootAndDrain: Boot creates every configured session and the
+// control plane; Drain pauses them all and checkpoints the
+// checkpoint-enabled ones, leaving the rest out of both lists.
+func TestBootAndDrain(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	m, err := Boot(Config{
+		HTTP:     "127.0.0.1:0",
+		Sessions: []SessionConfig{testSession("saved", dir), testSession("ephemeral", "")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown()
+	if len(m.Sessions()) != 2 || m.HTTPAddr() == "" {
+		t.Fatalf("boot: %d sessions, http %q", len(m.Sessions()), m.HTTPAddr())
+	}
+	s, _ := m.Get("saved")
+	pump(t, s.Addr(), 2, 4, 1, 50)
+	waitFor(t, func() bool { return s.Stats().Engine.ReplayRecords > 0 }, "records")
+
+	saved, errs := m.Drain()
+	if len(errs) != 0 || len(saved) != 1 || saved[0] != "saved" {
+		t.Fatalf("drain saved %v, errors %v", saved, errs)
+	}
+	for _, s := range m.Sessions() {
+		if s.State() != StatePaused {
+			t.Fatalf("%s: state %s after drain", s.Name(), s.State())
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "session.json")); err != nil {
+		t.Fatalf("drain wrote no checkpoint: %v", err)
+	}
+}
+
+// TestBootRejectsBadConfig: an invalid config fails before any session
+// starts, and a session that cannot be created tears the boot down.
+func TestBootRejectsBadConfig(t *testing.T) {
+	if _, err := Boot(Config{Sessions: []SessionConfig{{Name: "x"}}}); err == nil {
+		t.Fatal("invalid session config booted")
+	}
+	good := testSession("a", "")
+	busy := testSession("b", "")
+	m, err := Boot(Config{Sessions: []SessionConfig{good}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown()
+	s, _ := m.Get("a")
+	busy.Listen = s.Addr() // already bound
+	if _, err := Boot(Config{Sessions: []SessionConfig{testSession("c", ""), busy}}); err == nil {
+		t.Fatal("boot with an unbindable session succeeded")
 	}
 }

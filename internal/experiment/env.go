@@ -177,6 +177,13 @@ type Env struct {
 	Gen     workload.Generator
 }
 
+// The telemetry cadence of every experiment engine (the engine's
+// defaults). RunFig5 reads the ring in chunks of historyCap ×
+// historyEvery ticks; tests shrink historyCap to exercise the chunking.
+const historyEvery = 10
+
+var historyCap = 1024
+
 // NewEnv builds the cluster, CAPES engine and tick loop for a workload.
 func NewEnv(o Options, gen workload.Generator) (*Env, error) {
 	if err := o.validate(); err != nil {
@@ -247,14 +254,16 @@ func NewEnv(o Options, gen workload.Generator) (*Env, error) {
 		collector = func() (replay.Frame, error) { return cluster.FullFrame(nil), nil }
 	}
 	cfg := capes.Config{
-		Hyper:      hyper,
-		Space:      space,
-		Objective:  scaled,
-		RewardMode: capes.RewardDelta,
-		FrameWidth: frameWidth,
-		Seed:       o.Seed + 7919,
-		Training:   true,
-		Tuning:     true,
+		Hyper:        hyper,
+		Space:        space,
+		Objective:    scaled,
+		RewardMode:   capes.RewardDelta,
+		FrameWidth:   frameWidth,
+		Seed:         o.Seed + 7919,
+		Training:     true,
+		Tuning:       true,
+		HistoryEvery: historyEvery,
+		HistoryCap:   historyCap,
 	}
 	eng, err := capes.NewEngine(cfg, collector,
 		func(vals []float64) error {
@@ -278,11 +287,14 @@ var _ sim.Ticker = (*storesim.Cluster)(nil)
 
 // Train runs a training session of the given paper-scale duration in
 // hours (ε-greedy, training on).
-func (e *Env) Train(hours float64) {
+func (e *Env) Train(hours float64) { e.train(e.Opts.Ticks(hours)) }
+
+// train runs n ticks of a training session.
+func (e *Env) train(n int64) {
 	e.Engine.SetTraining(true)
 	e.Engine.SetTuning(true)
 	e.Engine.SetExploit(false)
-	e.Loop.Run(e.Opts.Ticks(hours))
+	e.Loop.Run(n)
 }
 
 // MeasureTuned freezes learning (greedy policy, no training, no random

@@ -154,15 +154,34 @@ func TestRunFig4Structure(t *testing.T) {
 	}
 }
 
+// TestRunFig5Structure: the Figure 5 series covers the whole training
+// session even when the telemetry ring is far smaller than the run — it
+// starts within one sample of the first train step, ends within one
+// sample of the final tick, and has no gaps. A series read from the
+// ring once at the end would start late and fail.
 func TestRunFig5Structure(t *testing.T) {
 	o := tinyOptions()
 	o.Scale = 0.01 // needs enough train steps for a trace
+	defer func(c int) { historyCap = c }(historyCap)
+	historyCap = 4 // 432 ticks through a 4-point ring: 11 chunks
 	res, err := RunFig5(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Series) < 8 || res.TrainSteps == 0 {
+	if len(res.Series) < 8 || res.TrainSteps == 0 || res.Ticks != o.Ticks(12) {
 		t.Fatalf("fig5 = %+v", res)
+	}
+	first, last := res.Series[0], res.Series[len(res.Series)-1]
+	if first.TrainSteps > historyEvery/o.TrainEvery {
+		t.Fatalf("series starts at tick %d, %d train steps after training began", first.Tick, first.TrainSteps)
+	}
+	if last.Tick <= res.Ticks-historyEvery {
+		t.Fatalf("series ends at tick %d of %d", last.Tick, res.Ticks)
+	}
+	for i := 1; i < len(res.Series); i++ {
+		if d := res.Series[i].Tick - res.Series[i-1].Tick; d != historyEvery {
+			t.Fatalf("gap of %d ticks before tick %d", d, res.Series[i].Tick)
+		}
 	}
 	var buf bytes.Buffer
 	WriteFig5(&buf, res)

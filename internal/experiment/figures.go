@@ -176,8 +176,9 @@ func RunFig4(o Options) ([]Fig4Session, error) {
 
 // Fig5Point is one sample of the smoothed prediction error.
 type Fig5Point struct {
-	Tick int64
-	Loss float64
+	Tick       int64
+	TrainSteps int64 // cumulative train steps at Tick
+	Loss       float64
 }
 
 // Fig5Result carries the loss series plus the summary statistics the
@@ -187,28 +188,41 @@ type Fig5Result struct {
 	EarlyMean  float64 // mean loss over the first quarter (post warm-up)
 	LateMean   float64 // mean loss over the last quarter
 	TrainSteps int64
+	Ticks      int64 // length of the training session
 }
 
 // RunFig5 reproduces Figure 5 on the 1:1 random read/write workload.
+// The series is the engine's telemetry ring, from the first sample
+// after training starts. The session runs in chunks the ring can hold
+// (historyCap × historyEvery ticks) and drains the ring with the
+// /history cursor read after each one, so no sample is overwritten
+// before it is read.
 func RunFig5(o Options) (*Fig5Result, error) {
 	env, err := NewEnv(o, workload.NewRandRW(1, 1, o.Seed+19))
 	if err != nil {
 		return nil, err
 	}
-	env.Train(12)
-	trace := env.Engine.LossTrace()
-	if len(trace) < 8 {
-		return nil, fmt.Errorf("experiment: loss trace too short (%d points)", len(trace))
+	res := &Fig5Result{Ticks: o.Ticks(12)}
+	chunk := historyEvery * int64(historyCap)
+	cursor := int64(-1)
+	for done := int64(0); done < res.Ticks; done += chunk {
+		env.train(min(chunk, res.Ticks-done))
+		for _, p := range env.Engine.HistorySince(cursor) {
+			cursor = p.Tick
+			if p.TrainSteps > 0 {
+				res.Series = append(res.Series, Fig5Point{Tick: p.Tick, TrainSteps: p.TrainSteps, Loss: p.Loss})
+			}
+		}
 	}
-	res := &Fig5Result{TrainSteps: env.Engine.Stats().TrainSteps}
-	for _, p := range trace {
-		res.Series = append(res.Series, Fig5Point{Tick: p.Tick, Loss: p.Loss})
+	if len(res.Series) < 8 {
+		return nil, fmt.Errorf("experiment: loss series too short (%d points)", len(res.Series))
 	}
-	q := len(trace) / 4
+	res.TrainSteps = env.Engine.Stats().TrainSteps
+	q := len(res.Series) / 4
 	var early, late float64
 	for i := 0; i < q; i++ {
-		early += trace[i].Loss
-		late += trace[len(trace)-1-i].Loss
+		early += res.Series[i].Loss
+		late += res.Series[len(res.Series)-1-i].Loss
 	}
 	res.EarlyMean = early / float64(q)
 	res.LateMean = late / float64(q)

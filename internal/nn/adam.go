@@ -228,54 +228,3 @@ func (a *Adam[E]) Reset() {
 	a.m, a.v = nil, nil
 	a.fm, a.fv = nil, nil
 }
-
-// SGD is a plain stochastic-gradient-descent optimizer, kept as a baseline
-// for the optimizer ablation (the paper argues Adam converges faster).
-type SGD[E tensor.Element] struct {
-	LR       float64
-	Momentum float64
-	vel      []*tensor.Matrix[E]
-}
-
-// NewSGD returns an SGD optimizer with optional momentum.
-func NewSGD[E tensor.Element](lr, momentum float64) *SGD[E] {
-	return &SGD[E]{LR: lr, Momentum: momentum}
-}
-
-// Step applies params[i] -= lr·grads[i] (with momentum if configured).
-func (s *SGD[E]) Step(params, grads []*tensor.Matrix[E]) {
-	if len(params) != len(grads) {
-		panic("nn: SGD params/grads length mismatch")
-	}
-	if s.Momentum == 0 {
-		for i, p := range params {
-			p.AddScaled(grads[i], E(-s.LR))
-		}
-		return
-	}
-	if s.vel == nil {
-		s.vel = make([]*tensor.Matrix[E], len(params))
-		for i, p := range params {
-			s.vel[i] = tensor.New[E](p.Rows, p.Cols)
-		}
-	}
-	for i, p := range params {
-		v := s.vel[i]
-		v.Scale(E(s.Momentum))
-		v.AddScaled(grads[i], E(-s.LR))
-		for j := range p.Data {
-			p.Data[j] += v.Data[j]
-		}
-	}
-}
-
-// Optimizer is satisfied by Adam and SGD.
-type Optimizer[E tensor.Element] interface {
-	Step(params, grads []*tensor.Matrix[E])
-}
-
-var (
-	_ Optimizer[float64] = (*Adam[float64])(nil)
-	_ Optimizer[float32] = (*Adam[float32])(nil)
-	_ Optimizer[float64] = (*SGD[float64])(nil)
-)

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"compress/flate"
 	"encoding/gob"
 	"fmt"
@@ -210,14 +209,4 @@ func LoadFile[E tensor.Element](path string) (*MLP[E], error) {
 	}
 	defer f.Close()
 	return Load[E](f)
-}
-
-// CheckpointBytes returns the serialized size of the model, used for the
-// Table 2 "size of the DNN model" row alongside the in-memory Bytes().
-func (m *MLP[E]) CheckpointBytes() (int, error) {
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		return 0, err
-	}
-	return buf.Len(), nil
 }

@@ -307,20 +307,22 @@ func TestCAPESNetworkShape(t *testing.T) {
 
 func TestAdamReducesLossFasterThanSGDOnIllConditioned(t *testing.T) {
 	// A quadratic bowl with very different curvatures per axis; Adam's
-	// per-parameter scaling should dominate plain SGD.
-	run := func(opt Optimizer[float64]) float64 {
+	// per-parameter scaling should dominate plain SGD (p -= lr·g).
+	run := func(step func(p, g *tensor.Matrix[float64])) float64 {
 		p := tensor.FromSlice(1, 2, []float64{5, 5})
 		g := tensor.New[float64](1, 2)
-		params, grads := []*tensor.Matrix[float64]{p}, []*tensor.Matrix[float64]{g}
 		for i := 0; i < 300; i++ {
 			g.Set(0, 0, 2*100*p.At(0, 0))  // steep axis
 			g.Set(0, 1, 2*0.01*p.At(0, 1)) // shallow axis
-			opt.Step(params, grads)
+			step(p, g)
 		}
 		return 100*p.At(0, 0)*p.At(0, 0) + 0.01*p.At(0, 1)*p.At(0, 1)
 	}
-	adamLoss := run(NewAdam[float64](0.1))
-	sgdLoss := run(NewSGD[float64](0.001, 0))
+	adam := NewAdam[float64](0.1)
+	adamLoss := run(func(p, g *tensor.Matrix[float64]) {
+		adam.Step([]*tensor.Matrix[float64]{p}, []*tensor.Matrix[float64]{g})
+	})
+	sgdLoss := run(func(p, g *tensor.Matrix[float64]) { p.AddScaled(g, -0.001) })
 	if adamLoss >= sgdLoss {
 		t.Fatalf("Adam loss %g not better than SGD %g", adamLoss, sgdLoss)
 	}
@@ -337,22 +339,6 @@ func TestAdamResetAndStepCount(t *testing.T) {
 	a.Reset()
 	if a.StepCount() != 0 {
 		t.Fatal("Reset did not clear step count")
-	}
-}
-
-func TestSGDMomentumAccelerates(t *testing.T) {
-	run := func(momentum float64) float64 {
-		p := tensor.FromSlice(1, 1, []float64{10})
-		g := tensor.New[float64](1, 1)
-		opt := NewSGD[float64](0.01, momentum)
-		for i := 0; i < 100; i++ {
-			g.Set(0, 0, 2*p.At(0, 0))
-			opt.Step([]*tensor.Matrix[float64]{p}, []*tensor.Matrix[float64]{g})
-		}
-		return math.Abs(p.At(0, 0))
-	}
-	if run(0.9) >= run(0) {
-		t.Fatal("momentum should reach the optimum faster on a smooth bowl")
 	}
 }
 

@@ -382,21 +382,6 @@ func (db *DB) FrameAt(tick int64) (Frame, bool) {
 	return widenInto(nil, row), true
 }
 
-// frameInto copies the frame at tick into dst (len FrameWidth) without
-// allocating, reporting whether a frame was present.
-func (db *DB) frameInto(dst Frame, tick int64) bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	row := db.frameRowLocked(tick)
-	if row == nil {
-		return false
-	}
-	for j, v := range row {
-		dst[j] = float64(v)
-	}
-	return true
-}
-
 // widenInto appends-or-reuses dst to hold src widened to float64.
 func widenInto(dst Frame, src []float32) Frame {
 	if cap(dst) >= len(src) {
@@ -520,10 +505,6 @@ func observationIntoFor[E tensor.Element](db *DB, dst []E, t int64) error {
 	return nil
 }
 
-func (db *DB) observationInto(dst []float64, t int64) error {
-	return observationIntoFor(db, dst, t)
-}
-
 // Observation returns the stacked observation ending at tick t, applying
 // the missing-entry tolerance. This is the same observation layout used
 // on the action path, "the same observation data format is used in both
@@ -532,7 +513,7 @@ func (db *DB) Observation(t int64) ([]float64, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	dst := make([]float64, db.ObservationWidth())
-	if err := db.observationInto(dst, t); err != nil {
+	if err := observationIntoFor(db, dst, t); err != nil {
 		return nil, err
 	}
 	return dst, nil
@@ -683,12 +664,6 @@ func constructMinibatchLocked[E tensor.Element](db *DB, rng *rand.Rand, n int, r
 // predate the generic constructors (analysis and test code).
 func (db *DB) ConstructMinibatch(rng *rand.Rand, n int, rf RewardFunc) (*Batch[float64], error) {
 	return ConstructMinibatch[float64](db, rng, n, rf)
-}
-
-// ConstructMinibatchInto is the float64 method form of the generic
-// package function.
-func (db *DB) ConstructMinibatchInto(rng *rand.Rand, n int, rf RewardFunc, b *Batch[float64]) error {
-	return ConstructMinibatchInto(db, rng, n, rf, b)
 }
 
 // ObservationInto assembles the stacked observation ending at tick t

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -348,5 +349,45 @@ func TestMinibatchStatesAreStoredFramesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRange: Range visits every tick holding a frame or an action in
+// ascending order, hands a nil frame for action-only ticks and the
+// stored values otherwise, and stops as soon as fn returns false.
+func TestRange(t *testing.T) {
+	db := mustDB(t, Config{FrameWidth: 2, StackTicks: 1})
+	db.Range(func(int64, Frame, int, bool) bool {
+		t.Fatal("Range visited a tick of an empty DB")
+		return false
+	})
+	if err := db.PutFrame(3, Frame{30, 31}); err != nil {
+		t.Fatal(err)
+	}
+	db.PutAction(5, 2) // action-only tick
+	if err := db.PutFrame(7, Frame{70, 71}); err != nil {
+		t.Fatal(err)
+	}
+	db.PutAction(7, 1)
+
+	type visit struct {
+		tick      int64
+		frame     Frame
+		action    int
+		hasAction bool
+	}
+	var got []visit
+	db.Range(func(tick int64, f Frame, a int, has bool) bool {
+		got = append(got, visit{tick, append(Frame(nil), f...), a, has})
+		return true
+	})
+	want := []visit{{3, Frame{30, 31}, 0, false}, {5, nil, 2, true}, {7, Frame{70, 71}, 1, true}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Range visited %+v, want %+v", got, want)
+	}
+	n := 0
+	db.Range(func(int64, Frame, int, bool) bool { n++; return false })
+	if n != 1 {
+		t.Fatalf("Range continued after fn returned false: %d visits", n)
 	}
 }

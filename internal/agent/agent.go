@@ -126,7 +126,7 @@ type Daemon struct {
 	owners   map[int]net.Conn  // the connection that most recently registered each node
 	latest   map[int][]float64 // most recent full PI vector per node
 	seen     map[int64]*pendingTick
-	controls map[int]net.Conn      // control-agent connections by node
+	controls map[int]*controlConn  // control-agent connections by node
 	conns    map[net.Conn]struct{} // every live connection (monitor + control)
 	stats    TransportStats
 	closed   bool
@@ -135,14 +135,18 @@ type Daemon struct {
 	wg   sync.WaitGroup
 }
 
-// NewDaemon starts an Interface Daemon listening on addr (use
-// "127.0.0.1:0" for tests) with default fault-tolerance options.
-// onChange may be nil.
-func NewDaemon(addr string, nodes, pisPerNode int, onFrame FrameSink, onChange func(int64, string)) (*Daemon, error) {
-	return NewDaemonOpts(addr, nodes, pisPerNode, onFrame, onChange, DaemonOpts{})
+// controlConn is a registered control agent's connection. wmu
+// serializes every write on it: the registration Ack is written under
+// the lock taken before the conn is registered, so no broadcast action
+// can reach the agent ahead of its Ack or interleave with it.
+type controlConn struct {
+	net.Conn
+	wmu sync.Mutex
 }
 
-// NewDaemonOpts is NewDaemon with explicit fault-tolerance options.
+// NewDaemonOpts starts an Interface Daemon listening on addr (use
+// "127.0.0.1:0" for tests). The zero DaemonOpts selects the default
+// fault-tolerance options; onChange may be nil.
 func NewDaemonOpts(addr string, nodes, pisPerNode int, onFrame FrameSink, onChange func(int64, string), opts DaemonOpts) (*Daemon, error) {
 	if nodes <= 0 || pisPerNode <= 0 {
 		return nil, fmt.Errorf("agent: nodes and pisPerNode must be positive")
@@ -166,7 +170,7 @@ func NewDaemonOpts(addr string, nodes, pisPerNode int, onFrame FrameSink, onChan
 		owners:     make(map[int]net.Conn),
 		latest:     make(map[int][]float64),
 		seen:       make(map[int64]*pendingTick),
-		controls:   make(map[int]net.Conn),
+		controls:   make(map[int]*controlConn),
 		conns:      make(map[net.Conn]struct{}),
 		done:       make(chan struct{}),
 	}
@@ -268,8 +272,14 @@ func (d *Daemon) serveConn(conn net.Conn) {
 	d.epochs[h.NodeID] = h.Epoch
 	d.owners[h.NodeID] = conn
 	d.decoders[h.NodeID] = wire.NewDiffDecoder(d.pisPerNode)
+	var cc *controlConn
 	if h.Role == "control" || h.Role == "monitor+control" {
-		d.controls[h.NodeID] = conn
+		// Registered with its write lock held until the Ack is out, so
+		// the agent is registered when Dial returns and a concurrent
+		// broadcast queues behind the Ack instead of overtaking it.
+		cc = &controlConn{Conn: conn}
+		cc.wmu.Lock()
+		d.controls[h.NodeID] = cc
 	}
 	d.stats.Hellos++
 	if seenBefore {
@@ -277,6 +287,9 @@ func (d *Daemon) serveConn(conn net.Conn) {
 	}
 	d.mu.Unlock()
 	wire.WriteMsg(conn, &wire.Envelope{Type: wire.MsgAck, Ack: &wire.Ack{NodeID: h.NodeID, OK: true}})
+	if cc != nil {
+		cc.wmu.Unlock()
+	}
 
 	for {
 		d.setReadDeadline(conn)
@@ -286,7 +299,7 @@ func (d *Daemon) serveConn(conn net.Conn) {
 			if isTimeout(err) && !d.closed {
 				d.stats.Evictions++
 			}
-			if d.controls[h.NodeID] == conn {
+			if cc != nil && d.controls[h.NodeID] == cc {
 				delete(d.controls, h.NodeID)
 			}
 			d.mu.Unlock()
@@ -461,17 +474,16 @@ func (d *Daemon) sweep(now time.Time) {
 }
 
 // BroadcastAction sends the parameter vector to every connected Control
-// Agent. Returns the number of agents reached. Each write carries a
-// deadline so one stalled agent (full TCP window, hung host) cannot
-// wedge the broadcast path forever; a deadlined or failed write closes
-// and deregisters that agent and the drop is counted.
+// Agent. Returns the number of agents reached. The action is encoded
+// once and the same frame is written to every agent, each write under
+// that agent's write lock and a deadline, so one stalled agent (full
+// TCP window, hung host) cannot wedge the broadcast path forever; a
+// deadlined or failed write closes and deregisters that agent and the
+// drop is counted.
 func (d *Daemon) BroadcastAction(tick int64, id int, values []float64) int {
-	env := &wire.Envelope{Type: wire.MsgAction, Action: &wire.Action{
-		Tick: tick, ID: id, Values: append([]float64(nil), values...),
-	}}
 	type target struct {
 		node int
-		conn net.Conn
+		conn *controlConn
 	}
 	d.mu.Lock()
 	targets := make([]target, 0, len(d.controls))
@@ -480,10 +492,24 @@ func (d *Daemon) BroadcastAction(tick int64, id int, values []float64) int {
 	}
 	d.stats.ActionsAttempted += int64(len(targets))
 	d.mu.Unlock()
+	if len(targets) == 0 {
+		return 0
+	}
+	buf, err := wire.Encode(&wire.Envelope{Type: wire.MsgAction, Action: &wire.Action{
+		Tick: tick, ID: id, Values: values,
+	}})
+	if err != nil {
+		d.mu.Lock()
+		d.stats.DroppedActions += int64(len(targets))
+		d.mu.Unlock()
+		return 0
+	}
 	sent := 0
 	for _, tg := range targets {
+		tg.conn.wmu.Lock()
 		tg.conn.SetWriteDeadline(time.Now().Add(d.opts.BroadcastTimeout))
-		err := wire.WriteMsg(tg.conn, env)
+		_, err := tg.conn.Write(buf)
+		tg.conn.wmu.Unlock()
 		d.mu.Lock()
 		if err == nil {
 			d.stats.ActionsSent++

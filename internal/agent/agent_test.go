@@ -11,11 +11,11 @@ func startDaemon(t *testing.T, nodes, pis int) (*Daemon, func() [][]float64) {
 	t.Helper()
 	var mu sync.Mutex
 	var frames [][]float64
-	d, err := NewDaemon("127.0.0.1:0", nodes, pis, func(tick int64, f []float64) {
+	d, err := NewDaemonOpts("127.0.0.1:0", nodes, pis, func(tick int64, f []float64) {
 		mu.Lock()
 		frames = append(frames, append([]float64(nil), f...))
 		mu.Unlock()
-	}, nil)
+	}, nil, DaemonOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,10 +40,10 @@ func waitFor(t *testing.T, cond func() bool, msg string) {
 }
 
 func TestDaemonValidation(t *testing.T) {
-	if _, err := NewDaemon("127.0.0.1:0", 0, 1, func(int64, []float64) {}, nil); err == nil {
+	if _, err := NewDaemonOpts("127.0.0.1:0", 0, 1, func(int64, []float64) {}, nil, DaemonOpts{}); err == nil {
 		t.Fatal("zero nodes must fail")
 	}
-	if _, err := NewDaemon("127.0.0.1:0", 1, 1, nil, nil); err == nil {
+	if _, err := NewDaemonOpts("127.0.0.1:0", 1, 1, nil, nil, DaemonOpts{}); err == nil {
 		t.Fatal("nil sink must fail")
 	}
 }
@@ -233,11 +233,11 @@ func TestDaemonCloseIsIdempotent(t *testing.T) {
 func TestWorkloadChangeNotification(t *testing.T) {
 	var mu sync.Mutex
 	var changes []string
-	d, err := NewDaemon("127.0.0.1:0", 1, 2, func(int64, []float64) {}, func(tick int64, name string) {
+	d, err := NewDaemonOpts("127.0.0.1:0", 1, 2, func(int64, []float64) {}, func(tick int64, name string) {
 		mu.Lock()
 		changes = append(changes, name)
 		mu.Unlock()
-	})
+	}, DaemonOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,5 +281,46 @@ func TestDuplicateTickFromSameNodeDoesNotDoubleEmit(t *testing.T) {
 	time.Sleep(30 * time.Millisecond)
 	if n := len(frames()); n != 1 {
 		t.Fatalf("expected exactly 1 frame, got %d", n)
+	}
+}
+
+// TestRegistrationAckPrecedesBroadcast dials control agents one after
+// another while actions are broadcast continuously. The daemon must
+// write each connection's registration Ack before any action on it: an
+// action that overtakes the Ack makes Dial read it as the registration
+// reply and fail with "registration rejected".
+func TestRegistrationAckPrecedesBroadcast(t *testing.T) {
+	d, _ := startDaemon(t, 1, 1)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for tick := int64(0); ; tick++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			d.BroadcastAction(tick, 1, []float64{1})
+		}
+	}()
+	rejected := 0
+	var firstErr error
+	for i := 0; i < 200; i++ {
+		a, err := Dial(d.Addr(), 0, 1, "monitor+control")
+		if err != nil {
+			rejected++
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		a.Close()
+	}
+	close(stop)
+	wg.Wait()
+	if rejected != 0 {
+		t.Fatalf("%d of 200 dials failed during broadcasts (first: %v)", rejected, firstErr)
 	}
 }

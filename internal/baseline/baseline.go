@@ -9,7 +9,6 @@
 package baseline
 
 import (
-	"fmt"
 	"math/rand"
 
 	"capes/internal/capes"
@@ -110,49 +109,6 @@ func RandomSearch(space *capes.ActionSpace, probe Prober, probes int, seed int64
 		}
 	}
 	return Result{Name: "random-search", Values: best, Score: bestScore, Probes: used}
-}
-
-// GridSearch exhaustively probes a coarse grid with `points` samples per
-// tunable — the "sweeping through the entire space would be prohibitively
-// slow" strawman (§2), usable here only because the target is simulated.
-func GridSearch(space *capes.ActionSpace, probe Prober, points int) Result {
-	if points < 2 {
-		points = 2
-	}
-	n := len(space.Tunables)
-	best := space.Defaults()
-	bestScore := probe(best)
-	probes := 1
-	idx := make([]int, n)
-	for {
-		cand := make([]float64, n)
-		for i, t := range space.Tunables {
-			frac := float64(idx[i]) / float64(points-1)
-			v := t.Min + frac*(t.Max-t.Min)
-			// Snap to the step grid.
-			v = t.Min + float64(int((v-t.Min)/t.Step))*t.Step
-			cand[i] = t.Clamp(v)
-		}
-		s := probe(cand)
-		probes++
-		if s > bestScore {
-			best, bestScore = cand, s
-		}
-		// Advance the mixed-radix counter.
-		carry := true
-		for i := 0; carry && i < n; i++ {
-			idx[i]++
-			if idx[i] < points {
-				carry = false
-			} else {
-				idx[i] = 0
-			}
-		}
-		if carry {
-			break
-		}
-	}
-	return Result{Name: fmt.Sprintf("grid-%d", points), Values: best, Score: bestScore, Probes: probes}
 }
 
 func same(a, b []float64) bool {

@@ -106,26 +106,3 @@ func TestRandomSearchImprovesWithBudget(t *testing.T) {
 		}
 	}
 }
-
-func TestGridSearchFindsPeakRegion(t *testing.T) {
-	s := space(t)
-	r := GridSearch(s, quad, 11)
-	if math.Abs(r.Values[0]-60) > 10 || math.Abs(r.Values[1]-3) > 1.5 {
-		t.Fatalf("grid search ended at %v", r.Values)
-	}
-	// 11 points per axis × 2 axes = 121 probes + 1 default.
-	if r.Probes != 122 {
-		t.Fatalf("probes = %d", r.Probes)
-	}
-	if r.Name != "grid-11" {
-		t.Fatalf("name = %q", r.Name)
-	}
-}
-
-func TestGridSearchMinPoints(t *testing.T) {
-	s := space(t)
-	r := GridSearch(s, quad, 0) // clamps to 2
-	if r.Probes != 5 {          // 2×2 grid + default
-		t.Fatalf("probes = %d", r.Probes)
-	}
-}

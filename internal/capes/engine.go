@@ -458,13 +458,6 @@ func (e *Engine) Stop() {
 	e.stopped = true
 }
 
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.stopped
-}
-
 // CurrentValues returns a copy of the parameter vector CAPES believes is
 // applied.
 func (e *Engine) CurrentValues() []float64 {

@@ -77,15 +77,13 @@ type SessionConfig struct {
 	// assembly overlaps the in-flight train step and actions are chosen
 	// from published parameter snapshots, so per-tick action latency no
 	// longer includes the train step. Off by default (the lockstep
-	// golden trajectory). The CAPES_PIPELINE environment variable
-	// overrides every session: 1/true forces it on, 0/false off.
+	// golden trajectory).
 	Pipeline bool `json:"pipeline,omitempty"`
 	// Cluster joins this session's DRL engine to a data-parallel
 	// co-training cluster (capes cluster mode): one leader applies the
 	// optimizer over gradients reduced in fixed rank order; followers
 	// stream gradients and receive parameter broadcasts. Mutually
-	// exclusive with pipeline; a cluster session ignores the
-	// CAPES_PIPELINE override.
+	// exclusive with pipeline.
 	Cluster *ClusterConfig `json:"cluster,omitempty"`
 
 	// Transport fault-tolerance knobs (zero = agent package defaults).
@@ -411,7 +409,7 @@ func (sc *SessionConfig) engineConfig() (capes.Config, error) {
 		Seed:         sc.Seed,
 		Training:     !sc.Exploit,
 		Tuning:       !sc.MonitorOnly,
-		Pipeline:     pipelineEnabled(sc.Pipeline),
+		Pipeline:     sc.Pipeline,
 		HistoryEvery: sc.HistoryEvery,
 		HistoryCap:   sc.HistoryCap,
 	}
@@ -420,30 +418,10 @@ func (sc *SessionConfig) engineConfig() (capes.Config, error) {
 		cfg.Divergence = &d
 	}
 	if sc.Cluster != nil {
-		// Cluster mode and the pipelined loop are mutually exclusive;
-		// the cluster block wins over the CAPES_PIPELINE override so an
-		// operator flipping the process-wide knob cannot brick every
-		// cluster session.
-		cfg.Pipeline = false
 		ecc := sc.Cluster.capes()
 		cfg.Cluster = &ecc
 	}
 	return cfg, nil
-}
-
-// pipelineEnabled resolves the session's pipeline knob against the
-// CAPES_PIPELINE environment override (same spirit as CAPES_SIMD: an
-// operator can flip the whole process without touching configs — e.g.
-// force lockstep to reproduce a golden trajectory, or force the
-// pipeline on to measure it). Unrecognized values keep the config.
-func pipelineEnabled(configured bool) bool {
-	switch strings.ToLower(strings.TrimSpace(os.Getenv("CAPES_PIPELINE"))) {
-	case "1", "true", "on", "yes":
-		return true
-	case "0", "false", "off", "no":
-		return false
-	}
-	return configured
 }
 
 // throughputOffsets resolves the read/write PI offsets: the storesim

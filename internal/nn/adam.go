@@ -96,8 +96,8 @@ type fusedTask[E tensor.Element] struct {
 // Concrete float32 arenas (the deployed engine precision) route to the
 // SIMD-tier sweeps in tensor (SQRTPS/DIVPS are IEEE-exact, so every
 // tier matches the scalar loops below bit for bit — the sharded-
-// determinism contract is unchanged); named element types and float64
-// run the generic scalar loops.
+// determinism contract is unchanged); float64 runs the generic scalar
+// loops.
 func (t *fusedTask[E]) RunRange(lo, hi int) {
 	if p32, ok := any(t.params).([]float32); ok {
 		t.runRange32(p32, lo, hi)

@@ -89,14 +89,6 @@ func (m *MLP[E]) Save(w io.Writer) error {
 		cf.Flat64 = d
 	case []float32:
 		cf.Flat32 = d
-	default:
-		// Named element type: stage through a reusable float64 scratch
-		// (widening, so still lossless).
-		if m.saveScratch == nil {
-			m.saveScratch = make([]float64, len(m.paramData))
-		}
-		tensor.Convert(m.saveScratch, m.paramData)
-		cf.Precision, cf.Flat64 = "float64", m.saveScratch
 	}
 	if err := gob.NewEncoder(fw).Encode(cf); err != nil {
 		return fmt.Errorf("nn: encode checkpoint: %w", err)

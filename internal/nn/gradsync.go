@@ -64,13 +64,3 @@ func ExportFlat[E tensor.Element](dst []float32, src []E) []float32 {
 	tensor.Convert(dst, src)
 	return dst
 }
-
-// ImportFlat converts a float32 wire payload into a flat arena of the
-// working precision (exact: float32 widens losslessly into float64).
-func ImportFlat[E tensor.Element](dst []E, src []float32) error {
-	if len(dst) != len(src) {
-		return fmt.Errorf("nn: import %d wire values into %d-slot arena", len(src), len(dst))
-	}
-	tensor.Convert(dst, src)
-	return nil
-}

@@ -3,6 +3,8 @@ package nn
 import (
 	"math"
 	"testing"
+
+	"capes/internal/tensor"
 )
 
 // TestClusterReductionMeanOfIdenticalGradsIsExact: folding N identical
@@ -78,16 +80,14 @@ func TestClusterReductionRejectsShapeMismatch(t *testing.T) {
 }
 
 // TestExportImportFlat: the float32 wire form round-trips a float32
-// arena exactly, rounds a float64 arena once per element, reuses the
-// destination's capacity, and ImportFlat rejects a payload of the wrong
-// width.
+// arena exactly through tensor.Convert (the import side), rounds a
+// float64 arena once per element, and ExportFlat reuses the
+// destination's capacity.
 func TestExportImportFlat(t *testing.T) {
 	src32 := []float32{1.5, -2.25, 3e-9}
 	wire := ExportFlat(nil, src32)
 	back := make([]float32, len(src32))
-	if err := ImportFlat(back, wire); err != nil {
-		t.Fatal(err)
-	}
+	tensor.Convert(back, wire)
 	for i := range src32 {
 		if back[i] != src32[i] {
 			t.Fatalf("float32 round trip [%d] = %v, want %v", i, back[i], src32[i])
@@ -100,15 +100,10 @@ func TestExportImportFlat(t *testing.T) {
 		t.Fatalf("ExportFlat reallocated a large enough destination (cap %d)", cap(reused))
 	}
 	wide := make([]float64, len(src64))
-	if err := ImportFlat(wide, reused); err != nil {
-		t.Fatal(err)
-	}
+	tensor.Convert(wide, reused)
 	for i, v := range src64 {
 		if wide[i] != float64(float32(v)) {
 			t.Fatalf("float64 round trip [%d] = %v, want one rounding of %v", i, wide[i], v)
 		}
-	}
-	if err := ImportFlat(make([]float32, 2), wire); err == nil {
-		t.Fatal("ImportFlat accepted a payload of the wrong width")
 	}
 }

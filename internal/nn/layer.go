@@ -4,7 +4,7 @@
 // mean-squared error and the Adam optimizer.
 //
 // Every layer, the MLP and the optimizers are generic over the element
-// type E ~float32|~float64 (tensor.Element). The deployed DQN path
+// type E, float32 or float64 (tensor.Element). The deployed DQN path
 // instantiates at float32 — the train step is memory-bandwidth-bound, so
 // halving the element size is the dominant remaining lever — while
 // float64 remains the golden reference the equivalence tests compare

@@ -56,8 +56,6 @@ type MLP[E tensor.Element] struct {
 	gradData  []E // flat gradient arena
 
 	vecIn tensor.Matrix[E] // reusable 1×in header for the vector paths
-
-	saveScratch []float64 // reusable checkpoint staging (named element types only)
 }
 
 // arenaLen returns the flat parameter count for the given layer widths.

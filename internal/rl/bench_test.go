@@ -100,7 +100,7 @@ func testTrainStepAllocFree[E tensor.Element](t *testing.T) {
 		}
 		agent.SelectAction(obs, 1)
 	})
-	if allocs != 0 {
+	if allocs != 0 && !raceEnabled { // see race_test.go
 		t.Fatalf("TrainStep+SelectAction (%s) allocate %v per step in steady state", agent.Precision(), allocs)
 	}
 }
@@ -128,7 +128,7 @@ func TestTrainStepAllocFreeHardUpdate(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 0 {
+	if allocs != 0 && !raceEnabled { // see race_test.go
 		t.Fatalf("hard-update TrainStep allocates %v per step", allocs)
 	}
 }

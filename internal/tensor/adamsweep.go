@@ -14,9 +14,9 @@ package tensor
 // at every tier and any shard boundary (see the rounding contract in
 // simd_amd64.go), so worker count and kernel tier never change training
 // trajectories. Callers pass 1−β₁, 1−β₂ (and 1−α) precomputed; all
-// slices must share one length. The generic (float64 / named-type)
-// sweep stays in nn — vectorizing the float64 optimizer is listed as a
-// PERF.md follow-up.
+// slices must share one length. The float64 sweep stays in nn's generic
+// loops — vectorizing the float64 optimizer is listed as a PERF.md
+// follow-up.
 
 // AdamSweep32 applies the plain fused Adam update over params/grads and
 // the flat moment arenas fm/fv.

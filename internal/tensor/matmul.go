@@ -6,18 +6,16 @@ import (
 )
 
 // Matrix-multiplication kernels. Each public entry point (MulInto,
-// MulTransAInto, MulTransBInto) validates shapes, then dispatches to a
-// cache-blocked, 4-way-unrolled kernel — serially for small products,
-// sharded over the package worker pool (pool.go) for large ones. The
-// kernels are generic over the element type; concrete float32 and
-// float64 matrices route to the SIMD specializations in matmul32.go /
-// matmul64.go (tier-dispatched vector inner loops plus packed-panel
-// operand layout), while named element types keep the generic scalar
-// path below. The naive reference kernels the package started with are
-// kept at the bottom of this file — always at their instantiated
-// precision — and the property tests in matmul_test.go hold the
-// optimized kernels to float64 references within precision-scaled
-// reassociation tolerance on ragged shapes.
+// MulTransAInto, MulTransBInto) validates shapes, then runs a
+// cache-blocked kernel — serially for small products, sharded over the
+// package worker pool (pool.go) for large ones. The row kernels below
+// dispatch on the element type to the SIMD specializations in
+// matmul32.go / matmul64.go (tier-dispatched vector inner loops plus
+// packed-panel operand layout). The naive reference kernels the package
+// started with are kept at the bottom of this file — always at their
+// instantiated precision — and the property tests in matmul_test.go
+// hold the optimized kernels to float64 references within
+// precision-scaled reassociation tolerance on ragged shapes.
 //
 // Blocking constants: a blockK×blockJ tile of the right-hand operand is
 // blockK*blockJ elements — 256 KiB at float64, 128 KiB at float32 —
@@ -66,13 +64,6 @@ func MulInto[E Element](dst, a, b *Matrix[E]) {
 	mulRows(dst, a, b, 0, a.Rows)
 }
 
-// Mul returns a·b in a fresh matrix.
-func Mul[E Element](a, b *Matrix[E]) *Matrix[E] {
-	dst := New[E](a.Rows, b.Cols)
-	MulInto(dst, a, b)
-	return dst
-}
-
 // MulTransAInto computes dst = aᵀ·b without materializing aᵀ.
 // dst must be a.Cols × b.Cols and must not alias a or b.
 func MulTransAInto[E Element](dst, a, b *Matrix[E]) {
@@ -105,250 +96,34 @@ func MulTransBInto[E Element](dst, a, b *Matrix[E]) {
 	mulTransBRows(dst, a, b, 0, a.Rows)
 }
 
-// mulRows computes rows [lo, hi) of dst = a·b: for each destination row,
-// accumulate a[i][k]·b[k][*] over k. Tiled over (k, j) so the active
-// block of b stays cache-resident across the row sweep, with the k loop
-// unrolled 4-wide so four rows of b stream against one load/store of the
-// destination segment.
+// mulRows computes rows [lo, hi) of dst = a·b on the kernel for E.
 func mulRows[E Element](dst, a, b *Matrix[E], lo, hi int) {
 	if d, x, y, ok := asF32(dst, a, b); ok {
 		mulRowsF32(d, x, y, lo, hi)
 		return
 	}
-	if d, x, y, ok := asF64(dst, a, b); ok {
-		mulRowsF64(d, x, y, lo, hi)
-		return
-	}
-	n, kTot := b.Cols, a.Cols
-	for i := lo; i < hi; i++ {
-		drow := dst.Data[i*n : (i+1)*n]
-		for j := range drow {
-			drow[j] = 0
-		}
-	}
-	for k0 := 0; k0 < kTot; k0 += blockK {
-		k1 := k0 + blockK
-		if k1 > kTot {
-			k1 = kTot
-		}
-		for j0 := 0; j0 < n; j0 += blockJ {
-			j1 := j0 + blockJ
-			if j1 > n {
-				j1 = n
-			}
-			// Register-block pairs of destination rows: each element
-			// of the streamed b tile feeds two accumulating rows, which
-			// halves the dominant b-tile read traffic.
-			i := lo
-			for ; i+2 <= hi; i += 2 {
-				arow0 := a.Data[i*kTot : (i+1)*kTot]
-				arow1 := a.Data[(i+1)*kTot : (i+2)*kTot]
-				drow0 := dst.Data[i*n+j0 : i*n+j1]
-				drow1 := dst.Data[(i+1)*n+j0 : (i+1)*n+j1]
-				k := k0
-				for ; k+4 <= k1; k += 4 {
-					a00, a01, a02, a03 := arow0[k], arow0[k+1], arow0[k+2], arow0[k+3]
-					a10, a11, a12, a13 := arow1[k], arow1[k+1], arow1[k+2], arow1[k+3]
-					b0 := b.Data[k*n+j0 : k*n+j1]
-					b1 := b.Data[(k+1)*n+j0 : (k+1)*n+j1]
-					b2 := b.Data[(k+2)*n+j0 : (k+2)*n+j1]
-					b3 := b.Data[(k+3)*n+j0 : (k+3)*n+j1]
-					for j, bv := range b0 {
-						b1v, b2v, b3v := b1[j], b2[j], b3[j]
-						drow0[j] += a00*bv + a01*b1v + a02*b2v + a03*b3v
-						drow1[j] += a10*bv + a11*b1v + a12*b2v + a13*b3v
-					}
-				}
-				for ; k < k1; k++ {
-					a0v, a1v := arow0[k], arow1[k]
-					brow := b.Data[k*n+j0 : k*n+j1]
-					for j, bv := range brow {
-						drow0[j] += a0v * bv
-						drow1[j] += a1v * bv
-					}
-				}
-			}
-			for ; i < hi; i++ {
-				arow := a.Data[i*kTot : (i+1)*kTot]
-				drow := dst.Data[i*n+j0 : i*n+j1]
-				k := k0
-				for ; k+4 <= k1; k += 4 {
-					a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-					b0 := b.Data[k*n+j0 : k*n+j1]
-					b1 := b.Data[(k+1)*n+j0 : (k+1)*n+j1]
-					b2 := b.Data[(k+2)*n+j0 : (k+2)*n+j1]
-					b3 := b.Data[(k+3)*n+j0 : (k+3)*n+j1]
-					for j, bv := range b0 {
-						drow[j] += a0*bv + a1*b1[j] + a2*b2[j] + a3*b3[j]
-					}
-				}
-				for ; k < k1; k++ {
-					av := arow[k]
-					if av == 0 {
-						continue
-					}
-					brow := b.Data[k*n+j0 : k*n+j1]
-					for j, bv := range brow {
-						drow[j] += av * bv
-					}
-				}
-			}
-		}
-	}
+	d, x, y := asF64(dst, a, b)
+	mulRowsF64(d, x, y, lo, hi)
 }
 
-// mulTransARows computes rows [lo, hi) of dst = aᵀ·b — row i of dst is
-// column i of a dotted against every column of b: dst[i][j] =
-// Σ_k a[k][i]·b[k][j]. k (the shared row index of a and b) is unrolled
-// 4-wide. The k extent here is a minibatch (≤ a few hundred rows), so b
-// fits in cache and no tiling is needed.
+// mulTransARows computes rows [lo, hi) of dst = aᵀ·b on the kernel for E.
 func mulTransARows[E Element](dst, a, b *Matrix[E], lo, hi int) {
 	if d, x, y, ok := asF32(dst, a, b); ok {
 		mulTransAF32(d, x, y, lo, hi)
 		return
 	}
-	if d, x, y, ok := asF64(dst, a, b); ok {
-		mulTransAF64(d, x, y, lo, hi)
-		return
-	}
-	n, kTot, ac := b.Cols, a.Rows, a.Cols
-	for i := lo; i < hi; i++ {
-		drow := dst.Data[i*n : (i+1)*n]
-		for j := range drow {
-			drow[j] = 0
-		}
-	}
-	// Register-block pairs of destination rows (adjacent columns of a, so
-	// the strided a loads share cache lines): each streamed row of b
-	// feeds two accumulating destination rows.
-	i := lo
-	for ; i+2 <= hi; i += 2 {
-		drow0 := dst.Data[i*n : (i+1)*n]
-		drow1 := dst.Data[(i+1)*n : (i+2)*n]
-		k := 0
-		for ; k+2 <= kTot; k += 2 {
-			a00, a01 := a.Data[k*ac+i], a.Data[k*ac+i+1]
-			a10, a11 := a.Data[(k+1)*ac+i], a.Data[(k+1)*ac+i+1]
-			b0 := b.Data[k*n : (k+1)*n]
-			b1 := b.Data[(k+1)*n : (k+2)*n]
-			for j, bv := range b0 {
-				b1v := b1[j]
-				drow0[j] += a00*bv + a10*b1v
-				drow1[j] += a01*bv + a11*b1v
-			}
-		}
-		for ; k < kTot; k++ {
-			a0v, a1v := a.Data[k*ac+i], a.Data[k*ac+i+1]
-			brow := b.Data[k*n : (k+1)*n]
-			for j, bv := range brow {
-				drow0[j] += a0v * bv
-				drow1[j] += a1v * bv
-			}
-		}
-	}
-	for ; i < hi; i++ {
-		drow := dst.Data[i*n : (i+1)*n]
-		k := 0
-		for ; k+4 <= kTot; k += 4 {
-			a0 := a.Data[k*ac+i]
-			a1 := a.Data[(k+1)*ac+i]
-			a2 := a.Data[(k+2)*ac+i]
-			a3 := a.Data[(k+3)*ac+i]
-			b0 := b.Data[k*n : (k+1)*n]
-			b1 := b.Data[(k+1)*n : (k+2)*n]
-			b2 := b.Data[(k+2)*n : (k+3)*n]
-			b3 := b.Data[(k+3)*n : (k+4)*n]
-			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-				continue
-			}
-			for j, bv := range b0 {
-				drow[j] += a0*bv + a1*b1[j] + a2*b2[j] + a3*b3[j]
-			}
-		}
-		for ; k < kTot; k++ {
-			av := a.Data[k*ac+i]
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*n : (k+1)*n]
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
-		}
-	}
+	d, x, y := asF64(dst, a, b)
+	mulTransAF64(d, x, y, lo, hi)
 }
 
-// mulTransBRows computes rows [lo, hi) of dst = a·bᵀ — dot products
-// along the shared k axis. j (rows of b) is tiled so the active block of
-// b stays cache-resident while every row of a sweeps it, then processed
-// two at a time so each load of a feeds two dot products, with four
-// independent accumulators per product so the FPU pipelines overlap
-// instead of serializing on one sum.
+// mulTransBRows computes rows [lo, hi) of dst = a·bᵀ on the kernel for E.
 func mulTransBRows[E Element](dst, a, b *Matrix[E], lo, hi int) {
 	if d, x, y, ok := asF32(dst, a, b); ok {
 		mulTransBF32(d, x, y, lo, hi)
 		return
 	}
-	if d, x, y, ok := asF64(dst, a, b); ok {
-		mulTransBF64(d, x, y, lo, hi)
-		return
-	}
-	kTot, dn := a.Cols, b.Rows
-	// blockTB rows of b ≈ blockTB·kTot elements resident per tile.
-	const blockTB = 64
-	for j0 := 0; j0 < dn; j0 += blockTB {
-		j1 := j0 + blockTB
-		if j1 > dn {
-			j1 = dn
-		}
-		for i := lo; i < hi; i++ {
-			arow := a.Data[i*kTot : (i+1)*kTot]
-			drow := dst.Data[i*dn : (i+1)*dn]
-			j := j0
-			for ; j+2 <= j1; j += 2 {
-				b0 := b.Data[j*kTot : (j+1)*kTot]
-				b1 := b.Data[(j+1)*kTot : (j+2)*kTot]
-				var s00, s01, s02, s03 E
-				var s10, s11, s12, s13 E
-				k := 0
-				for ; k+4 <= kTot; k += 4 {
-					a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-					s00 += a0 * b0[k]
-					s01 += a1 * b0[k+1]
-					s02 += a2 * b0[k+2]
-					s03 += a3 * b0[k+3]
-					s10 += a0 * b1[k]
-					s11 += a1 * b1[k+1]
-					s12 += a2 * b1[k+2]
-					s13 += a3 * b1[k+3]
-				}
-				s0 := s00 + s01 + s02 + s03
-				s1 := s10 + s11 + s12 + s13
-				for ; k < kTot; k++ {
-					s0 += arow[k] * b0[k]
-					s1 += arow[k] * b1[k]
-				}
-				drow[j] = s0
-				drow[j+1] = s1
-			}
-			for ; j < j1; j++ {
-				brow := b.Data[j*kTot : (j+1)*kTot]
-				var s0, s1, s2, s3 E
-				k := 0
-				for ; k+4 <= kTot; k += 4 {
-					s0 += arow[k] * brow[k]
-					s1 += arow[k+1] * brow[k+1]
-					s2 += arow[k+2] * brow[k+2]
-					s3 += arow[k+3] * brow[k+3]
-				}
-				s := s0 + s1 + s2 + s3
-				for ; k < kTot; k++ {
-					s += arow[k] * brow[k]
-				}
-				drow[j] = s
-			}
-		}
-	}
+	d, x, y := asF64(dst, a, b)
+	mulTransBF64(d, x, y, lo, hi)
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 package tensor
 
-// float32 kernel specializations. The generic kernels in matmul.go
-// dispatch here when the element type is exactly float32 (named
-// ~float32 types keep the generic scalar path): same cache blocking,
-// same row sharding, but the innermost loops run on the tier-dispatched
-// vector primitives of simd_amd64.go (8 AVX2 / 4 SSE float32 lanes per
+// float32 kernel specializations. The row kernels in matmul.go dispatch
+// here when the element type is float32: cache-blocked, sharded by
+// rows, with the innermost loops on the tier-dispatched vector
+// primitives of simd_amd64.go (8 AVX2 / 4 SSE float32 lanes per
 // instruction, scalar elsewhere — the wrappers handle ragged tails).
 // Each row's arithmetic is independent of the shard layout and of
 // whether the operand tile was packed, so worker count still never
@@ -213,8 +212,8 @@ func mulTransBF32(dst, a, b *Matrix[float32], lo, hi int) {
 	}
 }
 
-// asF32 reports whether the matrices are concretely float32 (not a
-// named ~float32 type) and returns the reinterpreted headers.
+// asF32 reports whether E is float32 and returns the reinterpreted
+// headers.
 func asF32[E Element](dst, a, b *Matrix[E]) (d, x, y *Matrix[float32], ok bool) {
 	d, ok = any(dst).(*Matrix[float32])
 	if !ok {

@@ -3,11 +3,9 @@ package tensor
 // float64 kernel specializations, mirroring matmul32.go for the
 // golden-reference precision: identical blocking and packed-panel
 // layout, with the innermost loops on the 2-lane SSE2 float64
-// primitives (daxpy4/daxpy1/ddot — scalar off amd64). The generic
-// kernels in matmul.go dispatch here for concrete float64 matrices;
-// named ~float64 types keep the generic path. Per-row arithmetic is
-// identical to the generic kernels' unpaired rows (the same 4-wide
-// k-unroll expression), independent of shard layout and packing, so
+// primitives (daxpy4/daxpy1/ddot — scalar off amd64). The row kernels
+// in matmul.go dispatch here for float64 matrices. Per-row arithmetic
+// (a 4-wide k-unroll) is independent of shard layout and packing, so
 // worker count never changes results bit for bit.
 
 // mulRowsF64 is mulRows for float64 — see mulRowsF32 for the panel
@@ -114,12 +112,8 @@ func mulTransBF64(dst, a, b *Matrix[float64], lo, hi int) {
 	}
 }
 
-// asF64 reports whether the matrices are concretely float64 (not a
-// named ~float64 type) and returns the reinterpreted headers.
-func asF64[E Element](dst, a, b *Matrix[E]) (d, x, y *Matrix[float64], ok bool) {
-	d, ok = any(dst).(*Matrix[float64])
-	if !ok {
-		return nil, nil, nil, false
-	}
-	return d, any(a).(*Matrix[float64]), any(b).(*Matrix[float64]), true
+// asF64 returns the float64 headers of matrices whose E is not float32
+// — with Element exactly float32|float64, that is E == float64.
+func asF64[E Element](dst, a, b *Matrix[E]) (d, x, y *Matrix[float64]) {
+	return any(dst).(*Matrix[float64]), any(a).(*Matrix[float64]), any(b).(*Matrix[float64])
 }

@@ -99,14 +99,14 @@ func TestMulIntoMatchesNaiveQuick(t *testing.T) {
 			return false
 		}
 		gotTA, wantTA := New[float64](r, c), New[float64](r, c)
-		MulTransAInto(gotTA, Transpose(a), b)
-		mulTransANaiveInto(wantTA, Transpose(a), b)
+		MulTransAInto(gotTA, transposed(a), b)
+		mulTransANaiveInto(wantTA, transposed(a), b)
 		if !ApproxEqual(gotTA, wantTA, tolEquiv) {
 			return false
 		}
 		gotTB, wantTB := New[float64](r, c), New[float64](r, c)
-		MulTransBInto(gotTB, a, Transpose(b))
-		mulTransBNaiveInto(wantTB, a, Transpose(b))
+		MulTransBInto(gotTB, a, transposed(b))
+		mulTransBNaiveInto(wantTB, a, transposed(b))
 		return ApproxEqual(gotTB, wantTB, tolEquiv)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -127,8 +127,8 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 		r, k, c := s[0], s[1], s[2]
 		a := randomMatrix[float64](rng, r, k)
 		b := randomMatrix[float64](rng, k, c)
-		at := Transpose(a)
-		bt := Transpose(b)
+		at := transposed(a)
+		bt := transposed(b)
 
 		SetWorkers(1)
 		serialMul, serialTA, serialTB := New[float64](r, c), New[float64](r, c), New[float64](r, c)
@@ -248,6 +248,25 @@ func TestMaxPerRowInto(t *testing.T) {
 	if math.IsNaN(vals[0]) {
 		t.Fatal("unreachable")
 	}
+}
+
+// transposed returns mᵀ in a fresh matrix: the explicit-transpose
+// reference the transposed-operand kernels are checked against.
+func transposed[E Element](m *Matrix[E]) *Matrix[E] {
+	t := New[E](m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			t.Data[j*t.Cols+i] = m.Data[i*m.Cols+j]
+		}
+	}
+	return t
+}
+
+// mul returns a·b in a fresh matrix.
+func mul[E Element](a, b *Matrix[E]) *Matrix[E] {
+	dst := New[E](a.Rows, b.Cols)
+	MulInto(dst, a, b)
+	return dst
 }
 
 // randomMatrix returns an r×c matrix with uniform values in [-1, 1).

@@ -70,9 +70,7 @@ type job struct {
 	lo, hi int
 }
 
-// Task headers are recycled per element type. Instantiations with named
-// element types fall back to allocating a fresh header (correct, just
-// not recycled); the two standard precisions hit the pools.
+// Task headers are recycled per element type.
 var (
 	taskPool32 = sync.Pool{New: func() any { return new(mmTask[float32]) }}
 	taskPool64 = sync.Pool{New: func() any { return new(mmTask[float64]) }}
@@ -80,19 +78,10 @@ var (
 
 func getTask[E Element]() *mmTask[E] {
 	var z E
-	var v any
-	switch any(z).(type) {
-	case float32:
-		v = taskPool32.Get()
-	case float64:
-		v = taskPool64.Get()
-	default:
-		return new(mmTask[E])
+	if _, ok := any(z).(float32); ok {
+		return taskPool32.Get().(*mmTask[E])
 	}
-	if t, ok := v.(*mmTask[E]); ok {
-		return t
-	}
-	return new(mmTask[E])
+	return taskPool64.Get().(*mmTask[E])
 }
 
 func putTask[E Element](t *mmTask[E]) {
@@ -150,9 +139,6 @@ func (p *workerPool) worker() {
 		j.wg.Done()
 	}
 }
-
-// Workers reports how many goroutines large multiplications shard over.
-func Workers() int { return getPool().workers }
 
 // SetWorkers resizes the kernel worker pool (a test hook; also lets an
 // embedding daemon cap tensor parallelism). n == 1 forces every kernel

@@ -24,7 +24,7 @@ func equivTol[E Element](k int) float64 {
 // lossless), so the golden kernels see the identical operand values.
 func widen[E Element](m *Matrix[E]) *Matrix[float64] {
 	w := New[float64](m.Rows, m.Cols)
-	ConvertFrom(w, m)
+	Convert(w.Data, m.Data)
 	return w
 }
 
@@ -89,8 +89,8 @@ func TestParallelKernelsMatchSerialFloat32(t *testing.T) {
 		r, k, c := s[0], s[1], s[2]
 		a := randomMatrix[float32](rng, r, k)
 		b := randomMatrix[float32](rng, k, c)
-		at := Transpose(a)
-		bt := Transpose(b)
+		at := transposed(a)
+		bt := transposed(b)
 
 		SetWorkers(1)
 		serialMul, serialTA, serialTB := New[float32](r, c), New[float32](r, c), New[float32](r, c)

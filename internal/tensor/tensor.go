@@ -5,11 +5,11 @@
 // never materializes explicit transposes), elementwise kernels, and
 // Xavier/Glorot random initialization.
 //
-// The whole package is generic over the element type E ~float32|~float64
-// (the Element constraint). The DQN hot path instantiates at float32 —
-// the train step is memory-bandwidth-bound in situ, so halving the
-// element size is the single biggest lever on step latency — while the
-// golden-reference kernels and the statistics helpers default to
+// The whole package is generic over the element type E, exactly float32
+// or float64 (the Element constraint). The DQN hot path instantiates at
+// float32 — the train step is memory-bandwidth-bound in situ, so halving
+// the element size is the single biggest lever on step latency — while
+// the golden-reference kernels and the statistics helpers default to
 // float64. Reductions that feed stability decisions (norms, finiteness
 // checks, loss sums) always accumulate in float64 regardless of E, so a
 // float32 instantiation cannot silently lose a divergence signal.
@@ -27,9 +27,11 @@ import (
 	"unsafe"
 )
 
-// Element constrains the numeric element types the package supports.
+// Element constrains the numeric element types the package supports:
+// exactly float32 and float64, each of which the matrix kernels route
+// to its own SIMD specialization.
 type Element interface {
-	~float32 | ~float64
+	float32 | float64
 }
 
 // ElemSize returns the in-memory size of one element of E in bytes.
@@ -54,14 +56,6 @@ func Sqrt[E Element](x E) E { return E(math.Sqrt(float64(x))) }
 
 // Tanh returns tanh(x), computed in float64 for accuracy and rounded to E.
 func Tanh[E Element](x E) E { return E(math.Tanh(float64(x))) }
-
-// Abs returns |x|.
-func Abs[E Element](x E) E {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
 
 // IsFinite reports whether x is neither NaN nor ±Inf.
 func IsFinite[E Element](x E) bool {
@@ -134,30 +128,12 @@ func (m *Matrix[E]) Zero() {
 	}
 }
 
-// Fill sets every element to v.
-func (m *Matrix[E]) Fill(v E) {
-	for i := range m.Data {
-		m.Data[i] = v
-	}
-}
-
 // CopyFrom copies src into m; dimensions must match.
 func (m *Matrix[E]) CopyFrom(src *Matrix[E]) {
 	if m.Rows != src.Rows || m.Cols != src.Cols {
 		panic(dimErr("CopyFrom", m, src))
 	}
 	copy(m.Data, src.Data)
-}
-
-// ConvertFrom copies src into m elementwise across precisions; shapes
-// must match. Used by the cross-precision equivalence tests to lift a
-// float32 operand into the float64 golden kernels.
-func ConvertFrom[D, S Element](dst *Matrix[D], src *Matrix[S]) {
-	if dst.Rows != src.Rows || dst.Cols != src.Cols {
-		panic(fmt.Sprintf("tensor: ConvertFrom shape mismatch %d×%d vs %d×%d",
-			dst.Rows, dst.Cols, src.Rows, src.Cols))
-	}
-	Convert(dst.Data, src.Data)
 }
 
 // Equal reports whether a and b have identical shape and elements.
@@ -190,37 +166,6 @@ func dimErr[E Element](op string, a, b *Matrix[E]) string {
 	return fmt.Sprintf("tensor: %s dimension mismatch %d×%d vs %d×%d", op, a.Rows, a.Cols, b.Rows, b.Cols)
 }
 
-// Transpose returns mᵀ in a fresh matrix.
-func Transpose[E Element](m *Matrix[E]) *Matrix[E] {
-	t := New[E](m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Data[j*t.Cols+i] = m.Data[i*m.Cols+j]
-		}
-	}
-	return t
-}
-
-// AddInto computes dst = a + b elementwise; dst may alias a or b.
-func AddInto[E Element](dst, a, b *Matrix[E]) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(dimErr("Add", a, b))
-	}
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] + b.Data[i]
-	}
-}
-
-// SubInto computes dst = a - b elementwise; dst may alias a or b.
-func SubInto[E Element](dst, a, b *Matrix[E]) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(dimErr("Sub", a, b))
-	}
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] - b.Data[i]
-	}
-}
-
 // Scale multiplies every element of m by s in place.
 func (m *Matrix[E]) Scale(s E) {
 	for i := range m.Data {
@@ -235,17 +180,6 @@ func (m *Matrix[E]) AddScaled(other *Matrix[E], s E) {
 	}
 	for i, v := range other.Data {
 		m.Data[i] += s * v
-	}
-}
-
-// Lerp computes m = (1-α)·m + α·other in place. This is the target-network
-// soft update θ⁻ = θ⁻×(1−α) + θ×α from the paper (§3.4).
-func (m *Matrix[E]) Lerp(other *Matrix[E], alpha E) {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		panic(dimErr("Lerp", m, other))
-	}
-	for i, v := range other.Data {
-		m.Data[i] = m.Data[i]*(1-alpha) + v*alpha
 	}
 }
 
@@ -280,34 +214,9 @@ func (m *Matrix[E]) ColSumsInto(dst []E) {
 	}
 }
 
-// Apply sets each element to f(element) in place.
-func (m *Matrix[E]) Apply(f func(E) E) {
-	for i, v := range m.Data {
-		m.Data[i] = f(v)
-	}
-}
-
-// HadamardInto computes dst = a ⊙ b elementwise; dst may alias a or b.
-func HadamardInto[E Element](dst, a, b *Matrix[E]) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(dimErr("Hadamard", a, b))
-	}
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] * b.Data[i]
-	}
-}
-
-// MaxPerRow returns, for each row, the maximum value and its column index.
-// This is argmax_a Q(s,a) evaluated for a whole minibatch at once.
-func (m *Matrix[E]) MaxPerRow() (vals []E, idx []int) {
-	vals = make([]E, m.Rows)
-	idx = make([]int, m.Rows)
-	m.MaxPerRowInto(vals, idx)
-	return vals, idx
-}
-
-// MaxPerRowInto is MaxPerRow writing into caller-owned slices (each of
-// len m.Rows), for allocation-free training steps.
+// MaxPerRowInto writes, for each row, the maximum value and its column
+// index into caller-owned slices (each of len m.Rows) — argmax_a Q(s,a)
+// evaluated for a whole minibatch at once, allocation-free.
 func (m *Matrix[E]) MaxPerRowInto(vals []E, idx []int) {
 	if len(vals) != m.Rows || len(idx) != m.Rows {
 		panic(fmt.Sprintf("tensor: MaxPerRowInto got len %d/%d for %d rows", len(vals), len(idx), m.Rows))

@@ -1,26 +1,11 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Vector helpers. Vectors are plain []E; these free functions keep the
 // statistics and observation-assembly code out of hand-rolled loops.
 // The element type is inferred from the arguments, so float64 call sites
 // read exactly as they did before the package went generic.
-
-// Dot returns Σ aᵢ·bᵢ.
-func Dot[E Element](a, b []E) E {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("tensor: Dot length mismatch %d vs %d", len(a), len(b)))
-	}
-	var s E
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
 
 // Sum returns Σ aᵢ.
 func Sum[E Element](a []E) E {
@@ -52,11 +37,6 @@ func Variance[E Element](a []E) E {
 		s += d * d
 	}
 	return s / E(n-1)
-}
-
-// Stddev returns the unbiased sample standard deviation of a.
-func Stddev[E Element](a []E) E {
-	return Sqrt(Variance(a))
 }
 
 // ArgMax returns the index of the largest element (first on ties).
@@ -102,13 +82,6 @@ func Clamp[E Element](v, lo, hi E) E {
 		return hi
 	}
 	return v
-}
-
-// EWMA updates an exponentially weighted moving average: returns
-// (1-α)·prev + α·sample. The paper's Ack EWMA / Send EWMA secondary
-// performance indicators use this form.
-func EWMA[E Element](prev, sample, alpha E) E {
-	return prev*(1-alpha) + sample*alpha
 }
 
 // Scale multiplies every element of a by s in place and returns a.
